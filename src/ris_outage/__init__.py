@@ -18,6 +18,7 @@ from .cascade import (
     sum_moments,
 )
 from .errors import (
+    AsymptoteOutOfRegime,
     ConfigError,
     DegenerateJitter,
     DegenerateParameters,
@@ -50,7 +51,7 @@ from .geometry import (
     misalignment_stats,
     sample_hg,
 )
-from .montecarlo import MCConfig, MCEstimate, simulate_cdf, simulate_op
+from .montecarlo import MCConfig, MCEstimate, simulate_cdf, simulate_curve, simulate_op
 from .outage import (
     DiversityReport,
     HardwareProfile,
@@ -76,6 +77,7 @@ __all__ = [
     "pdf_A",
     "pdf_Ae2e",
     "sum_moments",
+    "AsymptoteOutOfRegime",
     "ConfigError",
     "DegenerateJitter",
     "DegenerateParameters",
@@ -106,6 +108,7 @@ __all__ = [
     "MCConfig",
     "MCEstimate",
     "simulate_cdf",
+    "simulate_curve",
     "simulate_op",
     "DiversityReport",
     "HardwareProfile",

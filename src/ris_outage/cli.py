@@ -4,10 +4,12 @@
     ris-outage run --selftest
     ris-outage report <scenario>
 
-Exit codes: 0 success, 2 scenario parse error, 3 numeric failure,
-4 I/O failure.  Results are deterministic for a fixed scenario and seed;
-the RIS_OUTAGE_THREADS environment variable changes only the worker
-count, never the numbers.
+Exit codes: 0 success, 2 scenario parse error (or a bad
+RIS_OUTAGE_THREADS), 3 numeric failure, 4 I/O failure.  --mc draws one
+Monte Carlo sample set per curve from the stream seeded by the
+scenario's mc seed.  Results are deterministic for a fixed scenario and
+seed; RIS_OUTAGE_THREADS sets only the number of sampling threads,
+never the numbers.
 """
 
 from __future__ import annotations

@@ -2,7 +2,12 @@
 
 
 class RisOutageError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.  Its message
+    joins all arguments, so context appended to args (such as the sweep
+    point) reads as part of the message."""
+
+    def __str__(self) -> str:
+        return " ".join(str(a) for a in self.args)
 
 
 class DomainError(RisOutageError, ValueError):
@@ -36,6 +41,11 @@ class DegenerateJitter(RisOutageError):
 
 class DegenerateParameters(RisOutageError):
     """The high-SNR expansion is undefined for these shape parameters."""
+
+
+class AsymptoteOutOfRegime(RisOutageError):
+    """The truncated high-SNR expansion is non-positive or at least 1 at
+    this point: the point lies outside the expansion's regime."""
 
 
 class ConfigError(RisOutageError, ValueError):

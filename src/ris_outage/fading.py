@@ -202,13 +202,22 @@ def product_pdf(d1: MGDistribution, d2: MGDistribution, x) -> np.ndarray | float
     return out if out.ndim else float(out)
 
 
+def _sample_mixture_sq(
+    d: MGDistribution, rng: np.random.Generator, size=None
+) -> np.ndarray | float:
+    """Exact squared-envelope draw(s): pick a component by weight, then
+    draw from Gamma(b_m, rate).  A single-term law (Nakagami) needs no
+    pick and draws the Gamma directly."""
+    if len(d.terms) == 1:
+        return rng.standard_gamma(d.terms[0][1], size=size) / d.rate
+    idx = rng.choice(len(d.weights), size=size, p=d.weights)
+    return rng.gamma(shape=d.shapes[idx], scale=1.0 / d.rate)
+
+
 def sample_envelope(
     d: MGDistribution, rng: np.random.Generator, size=None
 ) -> np.ndarray | float:
-    """Exact draw(s) from the mixture: pick a component by weight, draw
-    the squared envelope from Gamma(b_m, rate), return the square root."""
-    shapes = d.shapes
-    idx = rng.choice(len(shapes), size=size, p=d.weights)
-    sq = rng.gamma(shape=shapes[idx], scale=1.0 / d.rate)
-    out = np.sqrt(sq)
+    """Exact draw(s) from the mixture: the square root of a squared-envelope
+    draw."""
+    out = np.sqrt(_sample_mixture_sq(d, rng, size))
     return out if np.ndim(out) else float(out)

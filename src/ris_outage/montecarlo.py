@@ -3,7 +3,9 @@
 Samples are generated in fixed-size chunks, each chunk owning an
 independent random stream derived from (seed, chunk_index), so estimates
 are a pure function of the inputs and the seed: worker count and
-scheduling never change the result.
+scheduling never change the result.  The chunks are the only unit of
+parallelism: numpy's samplers release the interpreter lock, so worker
+threads overlap there.
 """
 
 from __future__ import annotations
@@ -11,21 +13,29 @@ from __future__ import annotations
 import math
 import os
 import time
+from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .fading import MGDistribution
-from .geometry import MisalignmentStats
+from .fading import MGDistribution, _sample_mixture_sq
+from .geometry import MisalignmentStats, sample_hg
 from .outage import HardwareProfile
 
-__all__ = ["MCConfig", "MCEstimate", "simulate_op", "simulate_cdf"]
+__all__ = ["MCConfig", "MCEstimate", "simulate_op", "simulate_curve", "simulate_cdf"]
+
+# one point of an outage curve: (mis, hw, gamma, gamma_th)
+CurvePoint = tuple[MisalignmentStats | None, HardwareProfile, float, float]
 
 
 @dataclass(frozen=True)
 class MCConfig:
+    """Sample count, stream seed, chunk size and worker threads.  With
+    workers="auto" the RIS_OUTAGE_THREADS environment variable, if set,
+    gives the worker count, else min(8, cpu count)."""
+
     samples: int
     seed: int = 0
     chunk_size: int = 1 << 16
@@ -38,14 +48,17 @@ class MCConfig:
             raise ConfigError(f"chunk_size must be positive, got {self.chunk_size}")
 
     def resolved_workers(self) -> int:
-        env = os.environ.get("RIS_OUTAGE_THREADS")
-        if env:
-            return max(1, int(env))
-        if self.workers == "auto":
-            return min(8, os.cpu_count() or 1)
-        n = int(self.workers)
+        workers, source = self.workers, "workers"
+        if workers == "auto":
+            workers, source = os.environ.get("RIS_OUTAGE_THREADS"), "RIS_OUTAGE_THREADS"
+            if not workers:
+                return min(8, os.cpu_count() or 1)
+        try:
+            n = int(workers)
+        except (TypeError, ValueError):
+            n = 0
         if n < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+            raise ConfigError(f"{source} must be an integer >= 1, got {workers!r}")
         return n
 
 
@@ -76,30 +89,92 @@ def _chunk_sizes(total: int, chunk: int) -> list[int]:
     return [chunk] * full + ([rem] if rem else [])
 
 
-def _sample_mixture_sq(
-    d: MGDistribution, rng: np.random.Generator, shape: tuple[int, ...]
+def _chunk_counts(
+    cfg: MCConfig, count: Callable[[np.random.Generator, int], np.ndarray]
 ) -> np.ndarray:
-    """Squared envelopes drawn from the Gamma mixture (vectorized)."""
-    idx = rng.choice(len(d.weights), size=shape, p=d.weights)
-    return rng.gamma(shape=d.shapes[idx], scale=1.0 / d.rate)
+    """Sum over the chunks of cfg of count(rng, n), an integer array, with
+    each chunk on its own stream.  Integer sums do not depend on the order
+    in which the workers finish."""
+    tasks = list(enumerate(_chunk_sizes(cfg.samples, cfg.chunk_size)))
+    workers = min(cfg.resolved_workers(), len(tasks))
+
+    def run(task) -> np.ndarray:
+        index, n = task
+        return count(_chunk_rng(cfg.seed, index), n)
+
+    if workers == 1:
+        return sum(map(run, tasks))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return sum(pool.map(run, tasks))
 
 
-def _draw_gain(
+def _cascade_gain(
     d1: MGDistribution,
     d2: MGDistribution,
     n_elements: int,
-    mis: MisalignmentStats | None,
     rng: np.random.Generator,
     n: int,
 ) -> np.ndarray:
-    """Per-snapshot end-to-end gains: A (aligned) or h_g * A."""
+    """Per-snapshot cascade gains A = sum_i |h_i||g_i|."""
     h = np.sqrt(_sample_mixture_sq(d1, rng, (n, n_elements)))
     g = np.sqrt(_sample_mixture_sq(d2, rng, (n, n_elements)))
-    a = (h * g).sum(axis=1)
-    if mis is not None:
-        u = 1.0 - rng.random(size=n)
-        a = a * (mis.b_o * u ** (1.0 / mis.zeta))
-    return a
+    return (h * g).sum(axis=1)
+
+
+def _estimate(hits: int, n: int, elapsed: float) -> MCEstimate:
+    p_hat = hits / n
+    return MCEstimate(
+        op_hat=p_hat,
+        stderr=math.sqrt(p_hat * (1.0 - p_hat) / n),
+        n=n,
+        elapsed=elapsed,
+        tail_flag=hits < 10,
+    )
+
+
+def simulate_curve(
+    d1: MGDistribution,
+    d2: MGDistribution,
+    n_elements: int,
+    points: Sequence[CurvePoint],
+    cfg: MCConfig,
+) -> list[MCEstimate]:
+    """Estimate P(gamma_u <= gamma_th) at every (mis, hw, gamma, gamma_th)
+    point of a curve from one shared sample set (common random numbers).
+
+    Per snapshot: draw the N envelope pairs, then one uniform u if any
+    point is misaligned, and form gain = A or A B_o u^(1/zeta) and the
+    instantaneous SNR/SDNR
+        gamma_u = gain^2 / (kappa^2 gain^2 + 1/gamma)
+    (conditionally exact in the distortions, so none are drawn).  Every
+    point counts its threshold crossings on the same snapshots, so a curve
+    whose event grows along the sweep gives non-decreasing estimates.
+    Point j's estimate equals simulate_op at that point with the same cfg.
+    """
+    if n_elements < 1:
+        raise ConfigError(f"n_elements must be >= 1, got {n_elements}")
+    if not points:
+        raise ConfigError("points is empty")
+    start = time.perf_counter()
+    misaligned = any(mis is not None for mis, _, _, _ in points)
+
+    def count(rng: np.random.Generator, n: int) -> np.ndarray:
+        a = _cascade_gain(d1, d2, n_elements, rng, n)
+        u = 1.0 - rng.random(size=n) if misaligned else None
+        g2_of = {None: a * a}  # squared gain per distinct misalignment law
+        hits = np.empty(len(points), dtype=np.int64)
+        for j, (mis, hw, gamma, gamma_th) in enumerate(points):
+            g2 = g2_of.get(mis)
+            if g2 is None:
+                gain = a * (mis.b_o * u ** (1.0 / mis.zeta))
+                g2 = g2_of[mis] = gain * gain
+            gamma_u = g2 / (hw.kappa_sq_sum * g2 + 1.0 / gamma)
+            hits[j] = np.count_nonzero(gamma_u <= gamma_th)
+        return hits
+
+    hits = _chunk_counts(cfg, count)
+    elapsed = time.perf_counter() - start
+    return [_estimate(int(h), cfg.samples, elapsed) for h in hits]
 
 
 def simulate_op(
@@ -112,47 +187,9 @@ def simulate_op(
     gamma_th: float,
     cfg: MCConfig,
 ) -> MCEstimate:
-    """Estimate P(gamma_u <= gamma_th) for the full channel model.
-
-    Per snapshot: draw the N envelope pairs (and h_g if misaligned), form
-    the instantaneous SNR/SDNR
-        gamma_u = gain^2 / (kappa^2 gain^2 + 1/gamma)
-    (conditionally exact in the distortions, so none are drawn), and count
-    threshold crossings.  Chunk counts are integers, so aggregation is
-    order independent.
-    """
-    if n_elements < 1:
-        raise ConfigError(f"n_elements must be >= 1, got {n_elements}")
-    start = time.perf_counter()
-    k2 = hw.kappa_sq_sum
-    sizes = _chunk_sizes(cfg.samples, cfg.chunk_size)
-
-    def run_chunk(args) -> int:
-        index, n = args
-        rng = _chunk_rng(cfg.seed, index)
-        gain = _draw_gain(d1, d2, n_elements, mis, rng, n)
-        g2 = gain * gain
-        gamma_u = g2 / (k2 * g2 + 1.0 / gamma)
-        return int(np.count_nonzero(gamma_u <= gamma_th))
-
-    workers = cfg.resolved_workers()
-    tasks = list(enumerate(sizes))
-    if workers == 1 or len(tasks) == 1:
-        counts = [run_chunk(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(run_chunk, tasks))
-    hits = sum(counts)
-    n = cfg.samples
-    p_hat = hits / n
-    stderr = math.sqrt(p_hat * (1.0 - p_hat) / n)
-    return MCEstimate(
-        op_hat=p_hat,
-        stderr=stderr,
-        n=n,
-        elapsed=time.perf_counter() - start,
-        tail_flag=hits < 10,
-    )
+    """Estimate P(gamma_u <= gamma_th) for the full channel model at one
+    point: simulate_curve on a one-point curve."""
+    return simulate_curve(d1, d2, n_elements, [(mis, hw, gamma, gamma_th)], cfg)[0]
 
 
 def simulate_cdf(
@@ -172,27 +209,16 @@ def simulate_cdf(
         raise ConfigError("grid must be strictly increasing and nonnegative")
     if n_elements < 1:
         raise ConfigError(f"n_elements must be >= 1, got {n_elements}")
-    sizes = _chunk_sizes(cfg.samples, cfg.chunk_size)
 
-    def run_chunk(args) -> np.ndarray:
-        index, n = args
-        rng = _chunk_rng(cfg.seed, index)
-        gain = _draw_gain(d1, d2, n_elements, mis, rng, n)
-        return np.searchsorted(grid, gain, side="left").astype(np.int64)
+    def count(rng: np.random.Generator, n: int) -> np.ndarray:
+        gain = _cascade_gain(d1, d2, n_elements, rng, n)
+        if mis is not None:
+            gain = gain * sample_hg(mis, rng, n)
+        # bucket j counts samples with grid[j-1] < gain <= grid[j]
+        return np.bincount(np.searchsorted(grid, gain, side="left"), minlength=grid.size + 1)
 
-    workers = cfg.resolved_workers()
-    tasks = list(enumerate(sizes))
-    # bucket j counts samples with grid[j-1] < gain <= grid[j]
-    bucket_counts = np.zeros(grid.size + 1, dtype=np.int64)
-    if workers == 1 or len(tasks) == 1:
-        results = (run_chunk(t) for t in tasks)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(run_chunk, tasks)
-    for idx in results:
-        bucket_counts += np.bincount(idx, minlength=grid.size + 1)
     n = cfg.samples
-    below = np.cumsum(bucket_counts)[:-1]  # below[j] = count(gain <= grid[j])
+    below = np.cumsum(_chunk_counts(cfg, count))[:-1]  # below[j] = count(gain <= grid[j])
     out = []
     for j, x in enumerate(grid):
         p_hat = below[j] / n

@@ -24,7 +24,12 @@ from .cascade import (
     cdf_Ae2e,
     log_cdf_A,
 )
-from .errors import DegenerateParameters, DomainError, FloorUndefined
+from .errors import (
+    AsymptoteOutOfRegime,
+    DegenerateParameters,
+    DomainError,
+    FloorUndefined,
+)
 from .geometry import MisalignmentStats
 
 __all__ = [
@@ -111,7 +116,9 @@ def op_asymptotic(s: OutageScenario) -> float:
     Aligned case: sum over branches of C_b x^(2b).  Misaligned case: the
     x^zeta negative-moment term plus sum over branches of
     -C_b x^(2b) zeta/(2b - zeta) (all arguments scaled by B_o).
-    Raises DegenerateParameters where the expansion is undefined.
+    Raises DegenerateParameters where the expansion is undefined, and
+    AsymptoteOutOfRegime where the truncated sum is not a probability
+    below 1 (far from the high-SNR regime).
     """
     eff = _effective_threshold(s)
     if eff is None:
@@ -158,10 +165,11 @@ def op_asymptotic(s: OutageScenario) -> float:
             )
             terms.append((float(sc.gammasgn(o - b)) * math.copysign(1.0, factor), lc))
     sign, logmag = _signed_logsum(terms)
-    if sign <= 0.0:
-        return 0.0
-    if logmag >= 0.0:  # approximation saturated (or outside its regime)
-        return 1.0
+    if sign <= 0.0 or logmag >= 0.0:
+        raise AsymptoteOutOfRegime(
+            f"high-SNR expansion is {'non-positive' if sign <= 0.0 else '>= 1'}"
+            f" at x = {x!r}"
+        )
     return math.exp(logmag)
 
 

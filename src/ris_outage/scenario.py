@@ -265,13 +265,13 @@ def parse_scenario(text: str) -> ScenarioFile:
     mc = None
     if "mc" in root:
         m = root["mc"]
-        workers_raw = _get_scalar(m, "workers", str, default="auto")
-        workers = workers_raw if workers_raw == "auto" else int(workers_raw)
         mc = MCConfig(
             samples=_get_scalar(m, "samples", _to_int),
             seed=_get_scalar(m, "seed", _to_int, default=0),
             chunk_size=_get_scalar(m, "chunk_size", _to_int, default=1 << 16),
-            workers=workers,
+            workers=_get_scalar(
+                m, "workers", lambda v: v if v == "auto" else _to_int(v), default="auto"
+            ),
         )
 
     gamma = None

@@ -2,34 +2,34 @@
 
 Each sweep point yields the exact OP, the high-SNR approximation, the
 closed-form floor (misaligned scenarios only), and optionally a Monte
-Carlo estimate.  Points are independent and may be evaluated in
-parallel; output order is always sweep order and Monte Carlo seeds are a
-pure function of (scenario seed, point index).
+Carlo estimate.  The closed forms are evaluated point by point in sweep
+order.  The Monte Carlo column comes from one sample set per curve,
+drawn from the stream seeded by the scenario's mc seed and shared by
+every point; the worker threads inside the simulator change only how
+fast it runs, never the numbers.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace as dc_replace
 
-from .cascade import moment_match
+from .cascade import KGParams, moment_match
 from .errors import (
+    AsymptoteOutOfRegime,
     DegenerateJitter,
     DegenerateParameters,
     FloorUndefined,
     RisOutageError,
 )
 from .geometry import misalignment_stats
-from .montecarlo import MCConfig, simulate_op
+from .montecarlo import CurvePoint, simulate_curve
 from .outage import HardwareProfile, OutageScenario, op_asymptotic, op_exact, op_floor
 from .scenario import ScenarioFile
 
 __all__ = ["SweepRow", "evaluate_sweep", "derived_report", "CSV_HEADER"]
 
 CSV_HEADER = "sweep_value,op_exact,op_asymptotic,op_floor,op_mc,mc_stderr,flags"
-
-_POINT_SEED_STRIDE = 1_000_003  # distinct deterministic stream per sweep point
 
 
 @dataclass(frozen=True)
@@ -77,75 +77,71 @@ def _point_inputs(scn: ScenarioFile, value: float):
     return hw, geometry, gamma, gamma_th
 
 
+def _eval_point(
+    scn: ScenarioFile, kg: KGParams, value: float
+) -> tuple[SweepRow, CurvePoint]:
+    """Closed-form row of one sweep point, and the point's Monte Carlo
+    inputs."""
+    flags: list[str] = []
+    hw, geometry, gamma, gamma_th = _point_inputs(scn, value)
+    mis = None
+    if geometry is not None:
+        try:
+            mis = misalignment_stats(geometry)
+        except DegenerateJitter:
+            flags.append("aligned")
+    scenario = OutageScenario(kg=kg, hw=hw, gamma=gamma, gamma_th=gamma_th, mis=mis)
+    exact = op_exact(scenario)
+    asym = None
+    try:
+        asym = op_asymptotic(scenario)
+    except (DegenerateParameters, AsymptoteOutOfRegime):
+        flags.append("asymptote_undefined")
+    floor = None
+    if mis is not None:
+        try:
+            floor = op_floor(scenario)
+        except FloorUndefined:
+            flags.append("floor_undefined")
+    row = SweepRow(
+        sweep_value=value,
+        op_exact=exact,
+        op_asymptotic=asym,
+        op_floor=floor,
+        op_mc=None,
+        mc_stderr=None,
+        flags=tuple(flags),
+    )
+    return row, (mis, hw, gamma, gamma_th)
+
+
 def evaluate_sweep(scn: ScenarioFile, with_mc: bool = False) -> list[SweepRow]:
-    """Evaluate every sweep point.  Numeric failures raise RisOutageError
-    with the offending sweep value in the message."""
+    """Evaluate every sweep point.  A numeric failure at a point raises
+    the original RisOutageError with the offending sweep value appended
+    to its arguments (and so to its message)."""
     kg = moment_match(scn.hop1, scn.hop2, scn.n_elements)
-    values = scn.sweep.values()
-
-    def eval_point(item) -> SweepRow:
-        index, value = item
+    rows: list[SweepRow] = []
+    points: list[CurvePoint] = []
+    for value in scn.sweep.values():
         try:
-            return _eval_point_inner(scn, index, value, with_mc)
+            row, point = _eval_point(scn, kg, value)
         except RisOutageError as exc:
-            raise type(exc)(
-                f"{exc} (at sweep point {scn.sweep.variable} = {value:g})"
-            ) from exc
-
-    def _eval_point_inner(scn, index, value, with_mc) -> SweepRow:
-        flags: list[str] = []
-        hw, geometry, gamma, gamma_th = _point_inputs(scn, value)
-        mis = None
-        if geometry is not None:
-            try:
-                mis = misalignment_stats(geometry)
-            except DegenerateJitter:
-                mis = None  # aligned path
-                flags.append("aligned")
-        scenario = OutageScenario(
-            kg=kg, hw=hw, gamma=gamma, gamma_th=gamma_th, mis=mis
+            exc.args += (f"(at sweep point {scn.sweep.variable} = {value:g})",)
+            raise
+        rows.append(row)
+        points.append(point)
+    if not with_mc or scn.mc is None:
+        return rows
+    estimates = simulate_curve(scn.hop1, scn.hop2, scn.n_elements, points, scn.mc)
+    return [
+        dc_replace(
+            row,
+            op_mc=est.op_hat,
+            mc_stderr=est.stderr,
+            flags=row.flags + (("mc_tail",) if est.tail_flag else ()),
         )
-        exact = op_exact(scenario)
-        try:
-            asym = op_asymptotic(scenario)
-        except DegenerateParameters:
-            asym = None
-            flags.append("asymptote_undefined")
-        floor = None
-        if mis is not None:
-            try:
-                floor = op_floor(scenario)
-            except FloorUndefined:
-                flags.append("floor_undefined")
-        mc_hat = mc_err = None
-        if with_mc and scn.mc is not None:
-            cfg = MCConfig(
-                samples=scn.mc.samples,
-                seed=scn.mc.seed + _POINT_SEED_STRIDE * index,
-                chunk_size=scn.mc.chunk_size,
-                workers=1,  # outer parallelism; results identical either way
-            )
-            est = simulate_op(
-                scn.hop1, scn.hop2, scn.n_elements, mis, hw, gamma, gamma_th, cfg
-            )
-            mc_hat, mc_err = est.op_hat, est.stderr
-            if est.tail_flag:
-                flags.append("mc_tail")
-        return SweepRow(
-            sweep_value=value,
-            op_exact=exact,
-            op_asymptotic=asym,
-            op_floor=floor,
-            op_mc=mc_hat,
-            mc_stderr=mc_err,
-            flags=tuple(flags),
-        )
-
-    tasks = list(enumerate(values))
-    if len(tasks) == 1:
-        return [eval_point(tasks[0])]
-    with ThreadPoolExecutor() as pool:
-        return list(pool.map(eval_point, tasks))
+        for row, est in zip(rows, estimates)
+    ]
 
 
 def derived_report(scn: ScenarioFile) -> dict:

@@ -217,3 +217,25 @@ def make_stats(b_o: float, zeta: float) -> MisalignmentStats:
         b_o=b_o, zeta=zeta, w_l2=0.1, rho_l2=1.0, v_min=1.0, v_max=0.7,
         rho_min=1.0, rho_max=2.0, k_min=2.0, k_max=3.0, k_m=2.5,
     )
+
+
+# --- shared scenarios --------------------------------------------------------
+
+# sigma_p sweep whose first point has no jitter at all (aligned path) and
+# the rest misaligned, with impaired hardware and a Monte Carlo block
+MIXED_SIGMA_P_SWEEP = """
+fading {
+  hop1 { kind = nakagami  m = 1.0 }
+  hop2 { kind = rice  k_r_db = 5.0  n_terms = 20 }
+}
+ris { n_elements = 4 }
+geometry {
+  l2 = 0.105  w_o = 1e-3  f = 100e9  cn2 = 2.3e-9  alpha = 0.1
+  theta = 5.497787143782138  phi = 2.0943951023931953
+  sigma_p = 0.05  sigma_o = 0.0  d_x = 0.0
+}
+hardware { kappa_s = 0.1  kappa_d = 0.1 }
+link { gamma_db = 8.0  gamma_th = 1.0 }
+sweep { variable = sigma_p  start = 0.0  stop = 0.15  points = 4 }
+mc { samples = 30000  seed = 11  chunk_size = 8192 }
+"""

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from conftest import MIXED_SIGMA_P_SWEEP
+from ris_outage import RisOutageError
 from ris_outage.cli import main
 from ris_outage.scenario import ScenarioParseError, parse_scenario
 from ris_outage.sweep import CSV_HEADER, evaluate_sweep
@@ -60,6 +62,11 @@ class TestParser:
         with pytest.raises(ScenarioParseError, match="geometry"):
             parse_scenario(bad)
 
+    def test_bad_mc_workers(self):
+        bad = MINIMAL + "mc { samples = 100  workers = abc }\n"
+        with pytest.raises(ScenarioParseError, match="workers"):
+            parse_scenario(bad)
+
     def test_non_ratio_sweep_requires_gamma(self):
         bad = MINIMAL.replace("gamma_over_gamma_th_db", "gamma_th")
         with pytest.raises(ScenarioParseError, match="gamma_db"):
@@ -85,6 +92,37 @@ class TestSweepEngine:
         with pytest.raises(Exception):
             evaluate_sweep(scn)
 
+    def test_error_keeps_original_exception(self, monkeypatch):
+        class TwoArgError(RisOutageError):
+            def __init__(self, code, detail):
+                super().__init__(code, detail)
+                self.code = code
+
+        def fail(_scenario):
+            raise TwoArgError(7, "bad point")
+
+        monkeypatch.setattr("ris_outage.sweep.op_exact", fail)
+        with pytest.raises(TwoArgError) as info:
+            evaluate_sweep(parse_scenario(MINIMAL))
+        assert info.value.code == 7
+        assert str(info.value) == (
+            "7 bad point (at sweep point gamma_over_gamma_th_db = 0)"
+        )
+
+    def test_asymptote_out_of_regime_cells_are_empty(self):
+        with open(os.path.join(SCENARIO_DIR, "distance_sweep.scenario")) as fh:
+            rows = evaluate_sweep(parse_scenario(fh.read()))
+        for row in rows:
+            assert row.op_asymptotic is None
+            assert "asymptote_undefined" in row.flags
+            assert row.csv_line().split(",")[2] == ""
+        with open(os.path.join(SCENARIO_DIR, "hardware_threshold_sweep.scenario")) as fh:
+            rows = evaluate_sweep(parse_scenario(fh.read()))
+        flagged = [r.sweep_value for r in rows if "asymptote_undefined" in r.flags]
+        assert flagged == [5.0, 5.5]
+        # past the ceiling 1/(0.3^2 + 0.3^2) the outage is certain, not clamped
+        assert all(r.op_asymptotic == 1.0 for r in rows if r.sweep_value >= 6.0)
+
 
 def run_cli(args):
     return main(args)
@@ -108,6 +146,24 @@ class TestCli:
         monkeypatch.setenv("RIS_OUTAGE_THREADS", "4")
         run_cli(["run", scn, "-o", str(out2), "--mc"])
         assert (out1 / "curve.csv").read_bytes() == (out2 / "curve.csv").read_bytes()
+
+    def test_thread_env_does_not_change_mixed_sweep_csv(self, tmp_path, monkeypatch):
+        scn = tmp_path / "sigma_p.scenario"
+        scn.write_text(MIXED_SIGMA_P_SWEEP)
+        csv = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("RIS_OUTAGE_THREADS", threads)
+            assert run_cli(["run", str(scn), "-o", str(tmp_path / threads), "--mc"]) == 0
+            csv.append((tmp_path / threads / "curve.csv").read_bytes())
+        assert csv[0] == csv[1]
+        assert b"aligned" in csv[0].splitlines()[1]
+
+    def test_bad_thread_env_exit_code(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("RIS_OUTAGE_THREADS", "abc")
+        scn = os.path.join(SCENARIO_DIR, "aligned_elements.scenario")
+        assert run_cli(["run", scn, "-o", str(tmp_path), "--mc"]) == 2
+        assert "RIS_OUTAGE_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "curve.csv").exists()
 
     def test_svg_output(self, tmp_path):
         scn = os.path.join(SCENARIO_DIR, "hardware_threshold_sweep.scenario")

@@ -1,10 +1,11 @@
 import math
+import os
 import time
 
 import numpy as np
 import pytest
 
-from conftest import make_stats
+from conftest import MIXED_SIGMA_P_SWEEP, make_stats
 from ris_outage import (
     ConfigError,
     HardwareProfile,
@@ -13,13 +14,18 @@ from ris_outage import (
     cdf_A,
     from_nakagami,
     from_rice,
+    misalignment_stats,
     moment_match,
     op_exact,
+    parse_scenario,
     simulate_cdf,
+    simulate_curve,
     simulate_op,
 )
+from ris_outage.sweep import _point_inputs, evaluate_sweep
 
 RICE_5DB = 10.0 ** 0.5
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 ONE_MINUS_2K1_2 = 0.72026823636695514543080238592917795222553083031697
 
 
@@ -60,6 +66,17 @@ class TestDeterminism:
         base = simulate_op(*args, MCConfig(samples=200_000, seed=1)).op_hat
         monkeypatch.setenv("RIS_OUTAGE_THREADS", "3")
         assert simulate_op(*args, MCConfig(samples=200_000, seed=1)).op_hat == base
+
+    def test_env_never_overrides_explicit_workers(self, monkeypatch):
+        monkeypatch.setenv("RIS_OUTAGE_THREADS", "4")
+        assert MCConfig(samples=1, workers=1).resolved_workers() == 1
+        assert MCConfig(samples=1).resolved_workers() == 4
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_bad_env_is_config_error(self, monkeypatch, value):
+        monkeypatch.setenv("RIS_OUTAGE_THREADS", value)
+        with pytest.raises(ConfigError, match="RIS_OUTAGE_THREADS"):
+            MCConfig(samples=1).resolved_workers()
 
     def test_seed_changes_stream(self):
         d1, d2 = from_nakagami(1.0), from_rice(1.0, 20)
@@ -169,6 +186,34 @@ class TestSimulateOp:
         simulate_op(*args, MCConfig(samples=800_000, seed=1, workers=1))
         t_big = time.perf_counter() - t0
         assert t_big < 8.0 * max(t_small, 0.01) * 4.0
+
+
+class TestSimulateCurve:
+    def test_sweep_cells_equal_simulate_op(self):
+        scn = parse_scenario(MIXED_SIGMA_P_SWEEP)
+        rows = evaluate_sweep(scn, with_mc=True)
+        assert "aligned" in rows[0].flags
+        assert all("aligned" not in r.flags for r in rows[1:])
+        for row in rows:
+            hw, geometry, gamma, gamma_th = _point_inputs(scn, row.sweep_value)
+            mis = None if "aligned" in row.flags else misalignment_stats(geometry)
+            est = simulate_op(
+                scn.hop1, scn.hop2, scn.n_elements, mis, hw, gamma, gamma_th, scn.mc
+            )
+            assert (row.op_mc, row.mc_stderr) == (est.op_hat, est.stderr)
+
+    def test_shared_draws_monotone_along_snr(self):
+        with open(os.path.join(SCENARIO_DIR, "aligned_elements.scenario")) as fh:
+            scn = parse_scenario(fh.read())
+        ops = [r.op_mc for r in evaluate_sweep(scn, with_mc=True)]
+        assert ops[0] > 0.0
+        assert all(b <= a for a, b in zip(ops, ops[1:]))
+
+    def test_empty_points(self):
+        d = from_nakagami(1.0)
+        with pytest.raises(ConfigError):
+            simulate_curve(d, d, 1, [], MCConfig(samples=100))
+
 
 
 class TestSimulateCdf:

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import make_stats
 from ris_outage import (
+    AsymptoteOutOfRegime,
     DegenerateParameters,
     DomainError,
     FloorUndefined,
@@ -148,6 +149,23 @@ class TestOpAsymptotic:
         p = make_kg(3.0, 1.0)  # integer separation
         sc = OutageScenario(kg=p, hw=HardwareProfile(), gamma=100.0, gamma_th=1.0)
         with pytest.raises(DegenerateParameters):
+            op_asymptotic(sc)
+
+    @pytest.mark.parametrize(
+        "hops,n,frac",
+        [
+            # bulk of aligned_elements at -5 dB: the truncated sum is negative
+            ((from_nakagami(1.0), from_rice(RICE_5DB, 20)), 4, None),
+            # deep tail (OP ~ 2e-19) with xi x ~ 3.1: still outside the regime
+            ((from_nakagami(1.152), from_nakagami(2.034)), 16, 0.15),
+        ],
+    )
+    def test_out_of_regime_raises(self, hops, n, frac):
+        p = moment_match(*hops, n)
+        gamma = 10.0 ** -0.5 if frac is None else 1.0 / (frac**2 * p.omega_a)
+        sc = OutageScenario(kg=p, hw=HardwareProfile(), gamma=gamma, gamma_th=1.0)
+        assert 0.0 < op_exact(sc) < 1.0
+        with pytest.raises(AsymptoteOutOfRegime):
             op_asymptotic(sc)
 
 
