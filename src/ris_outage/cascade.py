@@ -37,10 +37,14 @@ __all__ = [
 # series is trusted only while intermediate/partial magnitudes stay within
 # this factor of the result (~6 digits of cancellation headroom in doubles)
 _COND_LIMIT = 1e6
-# |k - m| closer than this to an integer routes to the quadrature path
+# |k - m| (or zeta/2 - s) closer than this to an integer routes to the
+# quadrature path
 _DEGENERACY_BAND = 1e-3
-# beyond this series argument the alternating 1F2 sums cannot retain
-# double precision (cancellation ~ e^(4 sqrt(z))); quadrature territory
+# the series is not tried beyond this argument.  Below it the cond check
+# decides the route; for the bundled laws cond passes _COND_LIMIT at
+# z ~ 22-92, so the limit only caps the work spent on a series that check
+# would reject.  Large shapes stay well conditioned past it (cond < 40 up
+# to z = 400 at (k_a, m_a) = (228.3, 64.1)) and take quadrature there.
 _SERIES_Z_LIMIT = 400.0
 _QUAD_TARGET = 1e-9
 
@@ -109,7 +113,12 @@ def moment_match(
     The two shape parameters are the roots of a_A t^2 + b_A t + c_A with
     the moment-polynomial coefficients; roots are ordered k_a >= m_a.
     Raises MomentMatchFailure when the discriminant is negative or a root
-    is non-positive (no valid surrogate for these moments).
+    is non-positive (no valid surrogate for these moments).  A discriminant
+    within 1e-12 b_A^2 below zero is rounding around a double root (two
+    identical Nakagami hops at N = 1, where k_a = m_a = m is exact) and is
+    taken as zero.  Identical Nakagami hops at N >= 2 have a genuinely
+    negative discriminant (0.17-3.7% of b_A^2 for m in 1..5) and still
+    raise.
     """
     mu = _moment_vector(d1, d2, n_elements, 6)
     mu2, mu4, mu6 = float(mu[2]), float(mu[4]), float(mu[6])
@@ -119,6 +128,8 @@ def moment_match(
     if a_c == 0.0:
         raise MomentMatchFailure("degenerate moment polynomial (a_A = 0)")
     disc = b_c * b_c - 4.0 * a_c * c_c
+    if 0.0 > disc >= -1e-12 * b_c * b_c:
+        disc = 0.0
     if disc < 0.0:
         raise MomentMatchFailure(f"negative discriminant {disc!r}")
     # numerically stable quadratic roots
@@ -225,42 +236,125 @@ def _signed_logsum(terms: list[tuple[float, float]]) -> tuple[float, float]:
     return math.copysign(1.0, acc), lmax + math.log(abs(acc))
 
 
-def _log_cdf_A_series(
-    p: KGParams, x: float, ctl: SeriesControl = DEFAULT_SERIES_CONTROL
-) -> tuple[float, float, float]:
-    """Two-branch series for F_A in log space.
+def _expansion_terms(
+    p: KGParams, u: float, zeta: float | None = None
+) -> tuple[tuple[float, float] | None, list[tuple[float, float, float, float]]]:
+    """Coefficients of the one expansion behind F_A, F_{A_e2e}, the
+    high-SNR OP and the OP floor, at the scaled argument u = x / B_o.
 
-    Returns (sign, log|F|, cond) where cond bounds the cancellation amplification.
-    The branch over shape s (other root o) is
-      Gamma(o-s) xi^(2s) / (s Gamma(k) Gamma(m)) x^(2s) 1F2(s; 1+s, 1+s-o; xi^2 x^2),
-    the reflection form of the csc-coefficient expansion.
+    Returns (t0, branches).  branches holds (s, o, sign, log|C_s u^(2s)|)
+    for the shape s in (m_a, k_a), o the other shape, with
+      C_s = Gamma(o-s) xi^(2s) / (s Gamma(k) Gamma(m)),
+    the reflection form of the csc-coefficient expansion.  t0 is the
+    (sign, log|T0|) of the x^zeta term of the misaligned expansion,
+      T0 = (xi u)^zeta Gamma(k-zeta/2) Gamma(m-zeta/2) / (Gamma(k) Gamma(m)),
+    or None when zeta is None (aligned beam).
     """
-    z = (p.xi * x) ** 2
     lg_norm = sc.gammaln(p.k_a) + sc.gammaln(p.m_a)
-    contributions: list[tuple[float, float]] = []
-    log_peak = -math.inf
+    log_xu = math.log(p.xi * u)
+    branches = []
     for s, o in ((p.m_a, p.k_a), (p.k_a, p.m_a)):
-        f2, peak = _hyp1f2_diag(s, 1.0 + s, 1.0 + s - o, z, ctl)
-        lc = (
-            float(sc.gammaln(o - s))
-            + 2.0 * s * math.log(p.xi * x)
-            - math.log(s)
-            - lg_norm
-        )
-        sign = float(sc.gammasgn(o - s)) * math.copysign(1.0, f2) if f2 != 0.0 else 0.0
-        logmag = lc + (math.log(abs(f2)) if f2 != 0.0 else -math.inf)
-        contributions.append((sign, logmag))
-        log_peak = max(log_peak, lc + math.log(peak))
+        lc = float(sc.gammaln(o - s)) + 2.0 * s * log_xu - math.log(s) - lg_norm
+        branches.append((s, o, float(sc.gammasgn(o - s)), lc))
+    if zeta is None:
+        return None, branches
+    half = zeta / 2.0
+    t0 = (
+        float(sc.gammasgn(p.k_a - half) * sc.gammasgn(p.m_a - half)),
+        zeta * log_xu
+        + float(sc.gammaln(p.k_a - half))
+        + float(sc.gammaln(p.m_a - half))
+        - lg_norm,
+    )
+    return t0, branches
+
+
+def _series_result(
+    contributions: list[tuple[float, float]], log_peak: float
+) -> tuple[float, float, float]:
+    """(sign, log|sum|, cond) of a series whose largest intermediate or
+    partial magnitude is exp(log_peak)."""
     sign_total, log_total = _signed_logsum(contributions)
     if sign_total == 0.0:
         return 0.0, -math.inf, math.inf
-    cond = math.exp(min(log_peak - log_total, 700.0))
-    return sign_total, log_total, cond
+    return sign_total, log_total, math.exp(min(log_peak - log_total, 700.0))
+
+
+def _log_cdf_A_series(
+    p: KGParams, x: float, ctl: SeriesControl = DEFAULT_SERIES_CONTROL
+) -> tuple[float, float, float]:
+    """Two-branch series for F_A in log space,
+      F_A(x) = sum_s C_s x^(2s) 1F2(s; 1+s, 1+s-o; xi^2 x^2),
+    with C_s from _expansion_terms.  Returns (sign, log|F|, cond) where
+    cond bounds the cancellation amplification.
+    """
+    z = (p.xi * x) ** 2
+    _, branches = _expansion_terms(p, x)
+    contributions: list[tuple[float, float]] = []
+    log_peak = -math.inf
+    for s, o, sign_c, lc in branches:
+        f2, peak = _hyp1f2_diag(s, 1.0 + s, 1.0 + s - o, z, ctl)
+        if f2 != 0.0:
+            contributions.append(
+                (sign_c * math.copysign(1.0, f2), lc + math.log(abs(f2)))
+            )
+        log_peak = max(log_peak, lc + math.log(peak))
+    return _series_result(contributions, log_peak)
 
 
 def _is_degenerate_order(p: KGParams) -> bool:
     d = p.k_a - p.m_a
     return abs(d - round(d)) <= _DEGENERACY_BAND
+
+
+def _zeta_pole_distance(p: KGParams, zeta: float) -> float:
+    """Distance of zeta/2 from the pole lattice {s + n, n >= 0} of the
+    series expansion, for s in {k_a, m_a}."""
+    half = zeta / 2.0
+    dist = math.inf
+    for s in (p.k_a, p.m_a):
+        delta = half - s
+        if delta < 0.0:
+            dist = min(dist, -delta)
+        else:
+            dist = min(dist, abs(delta - round(delta)))
+    return dist
+
+
+def _series_defined(p: KGParams, zeta: float | None = None) -> bool:
+    """Whether the series expansion exists: k_a - m_a off the integers
+    and, under misalignment, zeta/2 off the pole lattice."""
+    return not _is_degenerate_order(p) and (
+        zeta is None or _zeta_pole_distance(p, zeta) > _DEGENERACY_BAND
+    )
+
+
+def _log_cdf(p: KGParams, mis: MisalignmentStats | None, x: float) -> float:
+    """log F(x) of A (mis None) or of A_e2e = h_g A: the one routing
+    decision between the series and the quadrature route.
+
+    The series is tried where it is defined and its argument
+    (xi x / B_o)^2 is at most _SERIES_Z_LIMIT, and kept only when it is a
+    probability with cond below _COND_LIMIT; otherwise, and on
+    NoConvergence, the quadrature twin gives the value.
+    """
+    if x <= 0.0:
+        return -math.inf
+    b_o = 1.0 if mis is None else mis.b_o
+    if x >= b_o * _x_upper(p):
+        return 0.0
+    zeta = None if mis is None else mis.zeta
+    if _series_defined(p, zeta) and (p.xi * x / b_o) ** 2 <= _SERIES_Z_LIMIT:
+        try:
+            sign, logmag, cond = (
+                _log_cdf_A_series(p, x) if mis is None else _cdf_Ae2e_series(p, mis, x)
+            )
+            if sign > 0.0 and logmag <= 0.0 and cond < _COND_LIMIT:
+                return logmag
+        except NoConvergence:
+            pass
+    val = _cdf_A_quadrature(p, x) if mis is None else cdf_Ae2e_quadrature(p, mis, x)
+    return math.log(val) if val > 0.0 else -math.inf
 
 
 def cdf_A(p: KGParams, x: float) -> float:
@@ -271,33 +365,13 @@ def cdf_A(p: KGParams, x: float) -> float:
     """
     if x < 0:
         raise DomainError(f"cdf_A requires x >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x >= _x_upper(p):
-        return 1.0
-    if not _is_degenerate_order(p) and (p.xi * x) ** 2 <= _SERIES_Z_LIMIT:
-        try:
-            sign, logmag, cond = _log_cdf_A_series(p, x)
-            if sign > 0.0 and logmag <= 0.0 and cond < _COND_LIMIT:
-                return math.exp(logmag)
-        except NoConvergence:
-            pass
-    return _cdf_A_quadrature(p, x)
+    return math.exp(_log_cdf(p, None, x))
 
 
 def log_cdf_A(p: KGParams, x: float) -> float:
-    """log F_A(x); series route only (deep-tail tool, used for diversity
-    slopes where F underflows)."""
-    if x <= 0.0:
-        return -math.inf
-    if _is_degenerate_order(p) or (p.xi * x) ** 2 > _SERIES_Z_LIMIT:
-        val = _cdf_A_quadrature(p, x)
-        return math.log(val) if val > 0.0 else -math.inf
-    sign, logmag, cond = _log_cdf_A_series(p, x)
-    if sign <= 0.0 or cond >= _COND_LIMIT:
-        val = _cdf_A_quadrature(p, x)
-        return math.log(val) if val > 0.0 else -math.inf
-    return min(logmag, 0.0)
+    """log F_A(x), routed like cdf_A; the series route keeps it finite in
+    the deep tail where F underflows (used for diversity slopes)."""
+    return _log_cdf(p, None, x)
 
 
 def pdf_A(p: KGParams, x) -> np.ndarray | float:
@@ -360,20 +434,6 @@ def _pdf_A_quadrature(p: KGParams, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _zeta_pole_distance(p: KGParams, zeta: float) -> float:
-    """Distance of zeta/2 from the pole lattice {s + n, n >= 0} of the
-    series expansion, for s in {k_a, m_a}."""
-    half = zeta / 2.0
-    dist = math.inf
-    for s in (p.k_a, p.m_a):
-        delta = half - s
-        if delta < 0.0:
-            dist = min(dist, -delta)
-        else:
-            dist = min(dist, abs(delta - round(delta)))
-    return dist
-
-
 def _cdf_Ae2e_series(
     p: KGParams,
     s: MisalignmentStats,
@@ -386,50 +446,33 @@ def _cdf_Ae2e_series(
     against the geometric-loss density (each term is a Beta-type
     integral):
 
-      F(x) = (x/B_o)^zeta  xi^zeta Gamma(k-zeta/2) Gamma(m-zeta/2)
-                            / (Gamma(k) Gamma(m))
-           + sum_s C_s (x/B_o)^(2s) [ 1F2(s; 1+s, 1+s-o; w)
+      F(x) = T0 + sum_s C_s (x/B_o)^(2s) [ 1F2(s; 1+s, 1+s-o; w)
                   - (2s/(2s-zeta)) 1F2(s-zeta/2; 1+s-o, 1+s-zeta/2; w) ]
 
-    with w = (xi x / B_o)^2 and C_s the same branch coefficients as in the
-    F_A expansion.  The leading term carries the x^zeta factor; dropping
-    it breaks agreement with the defining integral.
+    with w = (xi x / B_o)^2, and T0 (the x^zeta term) and C_s from
+    _expansion_terms.  Dropping T0 breaks agreement with the defining
+    integral.
     """
-    zeta, b_o = s.zeta, s.b_o
-    u = x / b_o
+    zeta = s.zeta
+    u = x / s.b_o
     w = (p.xi * u) ** 2
-    lg_norm = sc.gammaln(p.k_a) + sc.gammaln(p.m_a)
-
-    l0 = (
-        zeta * math.log(p.xi * u)
-        + float(sc.gammaln(p.k_a - zeta / 2.0))
-        + float(sc.gammaln(p.m_a - zeta / 2.0))
-        - lg_norm
-    )
-    s0 = float(sc.gammasgn(p.k_a - zeta / 2.0) * sc.gammasgn(p.m_a - zeta / 2.0))
-    contributions = [(s0, l0)]
-    log_peak = l0
-
-    for sb, ob in ((p.m_a, p.k_a), (p.k_a, p.m_a)):
+    t0, branches = _expansion_terms(p, u, zeta)
+    contributions = [t0]
+    log_peak = t0[1]
+    for sb, ob, sign_c, lc in branches:
         f_main, pk_main = _hyp1f2_diag(sb, 1.0 + sb, 1.0 + sb - ob, w, ctl)
         f_shift, pk_shift = _hyp1f2_diag(
             sb - zeta / 2.0, 1.0 + sb - ob, 1.0 + sb - zeta / 2.0, w, ctl
         )
         ratio = 2.0 * sb / (2.0 * sb - zeta)
         combined = f_main - ratio * f_shift
-        lc = 2.0 * sb * math.log(p.xi * u) - math.log(sb) + float(
-            sc.gammaln(ob - sb)
-        ) - lg_norm
         peak_here = max(pk_main, abs(ratio) * pk_shift, abs(combined))
         log_peak = max(log_peak, lc + math.log(peak_here))
         if combined != 0.0:
-            sign = float(sc.gammasgn(ob - sb)) * math.copysign(1.0, combined)
-            contributions.append((sign, lc + math.log(abs(combined))))
-    sign_total, log_total = _signed_logsum(contributions)
-    if sign_total == 0.0:
-        return 0.0, -math.inf, math.inf
-    cond = math.exp(min(log_peak - log_total, 700.0))
-    return sign_total, log_total, cond
+            contributions.append(
+                (sign_c * math.copysign(1.0, combined), lc + math.log(abs(combined)))
+            )
+    return _series_result(contributions, log_peak)
 
 
 def cdf_Ae2e(p: KGParams, s: MisalignmentStats, x: float) -> float:
@@ -442,38 +485,7 @@ def cdf_Ae2e(p: KGParams, s: MisalignmentStats, x: float) -> float:
     """
     if x < 0:
         raise DomainError(f"cdf_Ae2e requires x >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x >= s.b_o * _x_upper(p):
-        return 1.0
-    if (
-        not _is_degenerate_order(p)
-        and _zeta_pole_distance(p, s.zeta) > _DEGENERACY_BAND
-        and (p.xi * x / s.b_o) ** 2 <= _SERIES_Z_LIMIT
-    ):
-        try:
-            sign, logmag, cond = _cdf_Ae2e_series(p, s, x)
-            if sign > 0.0 and logmag <= 0.0 and cond < _COND_LIMIT:
-                return math.exp(logmag)
-        except NoConvergence:
-            pass
-    return cdf_Ae2e_quadrature(p, s, x)
-
-
-def log_cdf_Ae2e(p: KGParams, s: MisalignmentStats, x: float) -> float:
-    """log F_{A_e2e}(x) with deep-tail support via the series route."""
-    if x <= 0.0:
-        return -math.inf
-    if (
-        not _is_degenerate_order(p)
-        and _zeta_pole_distance(p, s.zeta) > _DEGENERACY_BAND
-        and (p.xi * x / s.b_o) ** 2 <= _SERIES_Z_LIMIT
-    ):
-        sign, logmag, cond = _cdf_Ae2e_series(p, s, x)
-        if sign > 0.0 and cond < _COND_LIMIT:
-            return min(logmag, 0.0)
-    val = cdf_Ae2e_quadrature(p, s, x)
-    return math.log(val) if val > 0.0 else -math.inf
+    return math.exp(_log_cdf(p, s, x))
 
 
 def cdf_Ae2e_quadrature(p: KGParams, s: MisalignmentStats, x: float) -> float:

@@ -13,13 +13,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special as sc
 
 from .cascade import (
     KGParams,
-    _is_degenerate_order,
+    _expansion_terms,
+    _series_defined,
     _signed_logsum,
-    _zeta_pole_distance,
     cdf_A,
     cdf_Ae2e,
     log_cdf_A,
@@ -114,56 +113,34 @@ def op_asymptotic(s: OutageScenario) -> float:
     replacing every 1F2 factor with its z -> 0 limit of 1.
 
     Aligned case: sum over branches of C_b x^(2b).  Misaligned case: the
-    x^zeta negative-moment term plus sum over branches of
-    -C_b x^(2b) zeta/(2b - zeta) (all arguments scaled by B_o).
-    Raises DegenerateParameters where the expansion is undefined, and
-    AsymptoteOutOfRegime where the truncated sum is not a probability
-    below 1 (far from the high-SNR regime).
+    x^zeta term T0 plus sum over branches of -C_b x^(2b) zeta/(2b - zeta)
+    (all arguments scaled by B_o); T0 and C_b come from the expansion
+    behind the exact CDFs.  Raises DegenerateParameters where the
+    expansion is undefined, and AsymptoteOutOfRegime where the truncated
+    sum is not a probability below 1 (far from the high-SNR regime).
     """
     eff = _effective_threshold(s)
     if eff is None:
         return 1.0
     p = s.kg
-    if _is_degenerate_order(p):
+    zeta = None if s.mis is None else s.mis.zeta
+    if not _series_defined(p, zeta):
         raise DegenerateParameters(
-            f"k_a - m_a = {p.k_a - p.m_a!r} is too close to an integer"
+            f"high-SNR expansion undefined at k_a - m_a = {p.k_a - p.m_a!r},"
+            f" zeta = {zeta!r} (a pole of its coefficients)"
         )
     x = math.sqrt(eff / s.gamma)
-    lg_norm = sc.gammaln(p.k_a) + sc.gammaln(p.m_a)
-    terms: list[tuple[float, float]] = []
     if s.mis is None:
-        for b, o in ((p.m_a, p.k_a), (p.k_a, p.m_a)):
-            lc = float(sc.gammaln(o - b)) - math.log(b) - lg_norm + 2.0 * b * math.log(
-                p.xi * x
-            )
-            terms.append((float(sc.gammasgn(o - b)), lc))
+        _, branches = _expansion_terms(p, x)
+        terms = [(sign, lc) for _, _, sign, lc in branches]
     else:
-        zeta, b_o = s.mis.zeta, s.mis.b_o
-        if _zeta_pole_distance(p, zeta) <= 1e-3:
-            raise DegenerateParameters(
-                f"zeta/2 = {zeta / 2!r} collides with the shape-parameter lattice"
-            )
-        u = x / b_o
-        l0 = (
-            zeta * math.log(p.xi * u)
-            + float(sc.gammaln(p.k_a - zeta / 2.0))
-            + float(sc.gammaln(p.m_a - zeta / 2.0))
-            - lg_norm
-        )
-        s0 = float(sc.gammasgn(p.k_a - zeta / 2.0) * sc.gammasgn(p.m_a - zeta / 2.0))
-        terms.append((s0, l0))
-        for b, o in ((p.m_a, p.k_a), (p.k_a, p.m_a)):
+        t0, branches = _expansion_terms(p, x / s.mis.b_o, zeta)
+        terms = [t0]
+        for b, _, sign, lc in branches:
             factor = -zeta / (2.0 * b - zeta)  # 1 - 2b/(2b - zeta)
-            if factor == 0.0:
-                continue
-            lc = (
-                float(sc.gammaln(o - b))
-                - math.log(b)
-                - lg_norm
-                + 2.0 * b * math.log(p.xi * u)
-                + math.log(abs(factor))
+            terms.append(
+                (sign * math.copysign(1.0, factor), lc + math.log(abs(factor)))
             )
-            terms.append((float(sc.gammasgn(o - b)) * math.copysign(1.0, factor), lc))
     sign, logmag = _signed_logsum(terms)
     if sign <= 0.0 or logmag >= 0.0:
         raise AsymptoteOutOfRegime(
@@ -174,7 +151,8 @@ def op_asymptotic(s: OutageScenario) -> float:
 
 
 def op_floor(s: OutageScenario) -> float:
-    """Closed-form outage floor under misalignment,
+    """Closed-form outage floor under misalignment: the coefficient of
+    x^zeta in the high-SNR expansion,
     xi^zeta Gamma(k-zeta/2) Gamma(m-zeta/2) / (B_o^zeta Gamma(k) Gamma(m)),
     independent of the hardware profile below the threshold ceiling and 1
     above it.
@@ -191,14 +169,8 @@ def op_floor(s: OutageScenario) -> float:
         raise FloorUndefined(
             f"zeta = {zeta!r} >= 2 min(k_a, m_a) = {2 * min(p.k_a, p.m_a)!r}"
         )
-    log_val = (
-        zeta * math.log(p.xi / b_o)
-        + float(sc.gammaln(p.k_a - zeta / 2.0))
-        + float(sc.gammaln(p.m_a - zeta / 2.0))
-        - float(sc.gammaln(p.k_a))
-        - float(sc.gammaln(p.m_a))
-    )
-    return math.exp(log_val)
+    (_, log_t0), _ = _expansion_terms(p, 1.0 / b_o, zeta)
+    return math.exp(log_t0)
 
 
 @dataclass(frozen=True)

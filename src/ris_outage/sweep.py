@@ -11,7 +11,6 @@ fast it runs, never the numbers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace as dc_replace
 
 from .cascade import KGParams, moment_match
@@ -24,7 +23,14 @@ from .errors import (
 )
 from .geometry import misalignment_stats
 from .montecarlo import CurvePoint, simulate_curve
-from .outage import HardwareProfile, OutageScenario, op_asymptotic, op_exact, op_floor
+from .outage import (
+    HardwareProfile,
+    OutageScenario,
+    max_threshold,
+    op_asymptotic,
+    op_exact,
+    op_floor,
+)
 from .scenario import ScenarioFile
 
 __all__ = ["SweepRow", "evaluate_sweep", "derived_report", "CSV_HEADER"]
@@ -147,11 +153,6 @@ def evaluate_sweep(scn: ScenarioFile, with_mc: bool = False) -> list[SweepRow]:
 def derived_report(scn: ScenarioFile) -> dict:
     """Derived quantities a user should audit before sweeping."""
     kg = moment_match(scn.hop1, scn.hop2, scn.n_elements)
-    gamma_th_max = (
-        math.inf
-        if scn.hardware.kappa_sq_sum == 0.0
-        else 1.0 / scn.hardware.kappa_sq_sum
-    )
     out = {
         "hop1": scn.hop1.label,
         "hop2": scn.hop2.label,
@@ -160,7 +161,7 @@ def derived_report(scn: ScenarioFile) -> dict:
         "m_a": kg.m_a,
         "xi": kg.xi,
         "omega_a": kg.omega_a,
-        "gamma_th_max": gamma_th_max,
+        "gamma_th_max": max_threshold(scn.hardware),
     }
     if scn.geometry is not None:
         try:
@@ -177,15 +178,15 @@ def derived_report(scn: ScenarioFile) -> dict:
                     "k_m": mis.k_m,
                 }
             )
-            if mis.zeta >= 2.0 * min(kg.k_a, kg.m_a):
-                out["floor"] = "UNDEFINED (Gamma-argument condition violated)"
-            else:
-                scenario = OutageScenario(
-                    kg=kg,
-                    hw=scn.hardware,
-                    gamma=1.0,
-                    gamma_th=min(scn.gamma_th, 1.0),
-                    mis=mis,
-                )
+            scenario = OutageScenario(
+                kg=kg,
+                hw=scn.hardware,
+                gamma=1.0,
+                gamma_th=min(scn.gamma_th, 1.0),
+                mis=mis,
+            )
+            try:
                 out["floor"] = op_floor(scenario)
+            except FloorUndefined:
+                out["floor"] = "UNDEFINED (Gamma-argument condition violated)"
     return out

@@ -13,7 +13,7 @@ import math
 import mpmath as mp
 import numpy as np
 
-from ris_outage import MisalignmentStats
+from ris_outage import KGParams, MisalignmentStats
 
 mp.mp.dps = 50
 
@@ -208,6 +208,14 @@ def sample_rice_exact(k_r: float, rng: np.random.Generator, size) -> np.ndarray:
 
 
 # --- misc helpers -------------------------------------------------------------
+
+
+def make_kg(k_a: float, m_a: float, omega: float = 1.0) -> KGParams:
+    """Generalized-K law with the given shapes; only (k_a, m_a, xi) drive
+    the distributional code paths."""
+    xi = math.sqrt(k_a * m_a / omega)
+    return KGParams(k_a=k_a, m_a=m_a, xi=xi, omega_a=omega, n_elements=1,
+                    moments2_4_6=(omega, 0.0, 0.0))
 
 
 def make_stats(b_o: float, zeta: float) -> MisalignmentStats:

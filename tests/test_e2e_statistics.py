@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import make_stats, mp_cdf_A, mp_cdf_Ae2e, mp_moment_match
+from conftest import make_kg, make_stats, mp_cdf_A, mp_cdf_Ae2e, mp_moment_match
 from ris_outage import (
     KGParams,
+    MCConfig,
     MomentMatchFailure,
     cdf_A,
     cdf_Ae2e,
@@ -18,6 +19,7 @@ from ris_outage import (
     pdf_Ae2e,
     product_moment,
     sample_envelope,
+    simulate_cdf,
     sum_moments,
 )
 from ris_outage.cascade import _cdf_A_quadrature
@@ -102,6 +104,19 @@ class TestMomentMatch:
         # generalized-K family cannot reproduce their 2/4/6 moments
         with pytest.raises(MomentMatchFailure):
             moment_match(from_nakagami(1.05), from_nakagami(0.95), 4)
+
+    @pytest.mark.parametrize("m", [1.0, 2.0, 2.5, 5.0])
+    def test_identical_nakagami_single_element(self, m):
+        # N = 1 with identical hops: the generalized-K law is exact with
+        # k_a = m_a = m, a double root that rounding may push below zero
+        d = from_nakagami(m)
+        p = moment_match(d, d, 1)
+        assert abs(p.k_a - m) <= 1e-9 * m and abs(p.m_a - m) <= 1e-9 * m
+        grid = np.array([0.5, 0.8, 1.0, 1.3]) * math.sqrt(p.omega_a)
+        estimates = simulate_cdf(d, d, 1, None, grid, MCConfig(200_000, seed=5))
+        for x, p_hat, stderr in estimates:
+            assert 0.0 < p_hat < 1.0
+            assert abs(cdf_A(p, x) - p_hat) <= 4.0 * stderr
 
     def test_params_validation(self):
         with pytest.raises(Exception):
@@ -281,6 +296,42 @@ class TestCdfAe2e:
             stderr = math.sqrt(p_hat * (1 - p_hat) / n)
             # surrogate model slack on top of the binomial noise
             assert abs(cdf_Ae2e(p, s, x) - p_hat) <= 4.0 * stderr + 5e-3
+
+
+def _boundary_cases():
+    """(k_a, m_a, zeta, z grid) on both sides of each router boundary; z is
+    the series argument (xi x / B_o)^2 and zeta None the aligned CDF."""
+    grid = (0.03, 0.5, 3.0, 12.0, 50.0)  # crosses the cond limit near z ~ 10
+    m = 2.3
+    for off in (5e-4, -5e-4, 2e-3, -2e-3):
+        for zeta in (None, 3.1):
+            yield pytest.param(m + 3 + off, m, zeta, grid, id=f"order-3{off:+g}-zeta{zeta}")
+    for n in (0, 1):
+        for off in (5e-4, -5e-4, 2e-3, -2e-3):
+            zeta = 2.0 * (m + n + off)
+            yield pytest.param(5.67, m, zeta, grid, id=f"pole-m+{n}{off:+g}")
+    for zeta in (None, 3.1):  # well conditioned up to the z limit
+        yield pytest.param(228.3, 64.1, zeta, (383.0, 399.0, 401.0, 417.0),
+                           id=f"zlimit-zeta{zeta}")
+
+
+class TestRouterBoundaries:
+    @pytest.mark.parametrize("k_a,m_a,zeta,z_grid", list(_boundary_cases()))
+    def test_cdf_matches_quadrature_across_boundary(self, k_a, m_a, zeta, z_grid):
+        p = make_kg(k_a, m_a)
+        s = None if zeta is None else make_stats(0.6, zeta)
+        b_o = 1.0 if s is None else s.b_o
+        vals = []
+        for z in z_grid:
+            x = math.sqrt(z) * b_o / p.xi
+            if s is None:
+                got, ref = cdf_A(p, x), _cdf_A_quadrature(p, x)
+            else:
+                got, ref = cdf_Ae2e(p, s, x), cdf_Ae2e_quadrature(p, s, x)
+            assert math.isfinite(got) and 0.0 <= got <= 1.0
+            assert got == pytest.approx(ref, rel=1e-6, abs=0.0), z
+            vals.append(got)
+        assert vals == sorted(vals)
 
 
 class TestPdfAe2e:

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_stats
+from conftest import make_kg, make_stats
 from ris_outage import (
     AsymptoteOutOfRegime,
     DegenerateParameters,
     DomainError,
     FloorUndefined,
     HardwareProfile,
-    KGParams,
     OutageScenario,
     cdf_A,
     cdf_Ae2e,
@@ -29,13 +28,6 @@ RICE_5DB = 10.0 ** 0.5
 
 def kg_reference(n_elements=16):
     return moment_match(from_nakagami(1.0), from_rice(RICE_5DB, 20), n_elements)
-
-
-def make_kg(k_a: float, m_a: float, omega: float = 1.0) -> KGParams:
-    xi = math.sqrt(k_a * m_a / omega)
-    mu2 = omega
-    return KGParams(k_a=k_a, m_a=m_a, xi=xi, omega_a=mu2, n_elements=1,
-                    moments2_4_6=(mu2, 0.0, 0.0))
 
 
 class TestOpExact:
@@ -148,6 +140,15 @@ class TestOpAsymptotic:
     def test_degenerate_raises(self):
         p = make_kg(3.0, 1.0)  # integer separation
         sc = OutageScenario(kg=p, hw=HardwareProfile(), gamma=100.0, gamma_th=1.0)
+        with pytest.raises(DegenerateParameters):
+            op_asymptotic(sc)
+
+    @pytest.mark.parametrize("n,offset", [(0, -5e-4), (0, 5e-4), (1, -5e-4), (1, 5e-4)])
+    def test_pole_lattice_raises(self, n, offset):
+        # k_a - m_a is safely non-integer; zeta/2 sits within the band of m_a + n
+        p = make_kg(5.67, 2.3)
+        s = make_stats(0.6, 2.0 * (p.m_a + n + offset))
+        sc = OutageScenario(kg=p, hw=HardwareProfile(), gamma=1e8, gamma_th=1.0, mis=s)
         with pytest.raises(DegenerateParameters):
             op_asymptotic(sc)
 
