@@ -11,6 +11,7 @@ routes must agree wherever both apply, and the test suite enforces that.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -159,17 +160,36 @@ def moment_match(
 # reorganized through the Gamma-mixture representation.
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+_gauss_legendre = functools.lru_cache(np.polynomial.legendre.leggauss)
+_GL_NODES, _GL_WEIGHTS = _gauss_legendre(24)
+# tail mass, relative to the value, that a fixed rule may leave out of
+# its range (bounded in closed form, never estimated)
+_TAIL = 1e-17
+# inner V-panels per unit of log v, sqrt(k_a + m_a) / _PANEL_SCALE[fine]:
+# the panel is narrower the sharper the Gamma factors (their log has
+# standard deviation ~ 1/sqrt(shape)); the coarse rule reaches ~1e-10
+# relative accuracy on F_A, the fine one ~1e-13
+_PANEL_SCALE = (9.0, 6.5)
 
 
-def _panels(lo: float, hi: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on geometric panels spanning [lo, hi]."""
-    edges = np.geomspace(lo, hi, n_panels + 1)
-    a, b = edges[:-1, None], edges[1:, None]
-    half = 0.5 * (b - a)
-    nodes = (0.5 * (a + b) + half * _GL_NODES).ravel()
-    weights = (half * _GL_WEIGHTS).ravel()
-    return nodes, weights
+def _panels(lo, hi, n_panels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """24-point Gauss-Legendre rule in log v on n_panels[i] geometric
+    panels spanning [lo[i], hi[i]], for every row i.
+
+    Returns the flat nodes, their weights (for dv) and their row index.
+    """
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    log_lo = np.log(lo)
+    log_hi = np.log(np.broadcast_to(np.asarray(hi, dtype=float), lo.shape))
+    n = np.broadcast_to(np.asarray(n_panels, dtype=np.int64), lo.shape)
+    row = np.repeat(np.arange(lo.size), n)
+    first = np.cumsum(n) - n
+    j = np.arange(row.size) - first[row]
+    half = (0.5 * (log_hi - log_lo) / n)[row]
+    mid = log_lo[row] + (2 * j + 1) * half
+    nodes = np.exp(mid[:, None] + half[:, None] * _GL_NODES)
+    weights = half[:, None] * _GL_WEIGHTS * nodes
+    return nodes.ravel(), weights.ravel(), np.repeat(row, _GL_NODES.size)
 
 
 def _x_upper(p: KGParams, q: float = 1e-18) -> float:
@@ -177,31 +197,52 @@ def _x_upper(p: KGParams, q: float = 1e-18) -> float:
     return math.sqrt(sc.gammainccinv(p.k_a, q) * sc.gammainccinv(p.m_a, q)) / p.xi
 
 
-def _cdf_A_quad_value(p: KGParams, x: float, n_panels: int) -> float:
+def _panels_per_log(p: KGParams, fine: bool) -> float:
+    return max(0.15, math.sqrt(p.k_a + p.m_a) / _PANEL_SCALE[fine])
+
+
+def _cdf_A_quad_value(p: KGParams, x, per_log: float) -> np.ndarray:
+    """F_A at every abscissa of x > 0 as E_V[P(k_a, s/V)], s = (xi x)^2.
+
+    Below eps = s / Q_k (Q_k the 1e-18 upper quantile of Gamma(k_a)) the
+    inner P is 1 - O(1e-18), so that head is P(m_a, eps) in closed form.
+    Above min(Q_m, v_cut) the V-integral is dropped: with P(k, y) <=
+    y^k / Gamma(k+1) and F_A >= P(m_a, s/k_a) / 2, the part beyond v_cut
+    is below _TAIL F_A.  Each row gets ceil(per_log log(top/eps)) panels.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    k, m = p.k_a, p.m_a
     s = (p.xi * x) ** 2
-    eps = s / sc.gammainccinv(p.k_a, 1e-18)
-    hi = sc.gammainccinv(p.m_a, 1e-18)
-    head = float(sc.gammainc(p.m_a, eps))  # below eps the inner P is 1 - O(1e-18)
-    if eps >= hi:
-        return min(head, 1.0)
-    v, w = _panels(eps, hi, n_panels)
-    dens = np.exp((p.m_a - 1.0) * np.log(v) - v - sc.gammaln(p.m_a))
-    val = head + float(np.sum(w * sc.gammainc(p.k_a, s / v) * dens))
-    return min(val, 1.0)
+    eps = s / sc.gammainccinv(k, 1e-18)
+    top = np.full_like(s, sc.gammainccinv(m, 1e-18))
+    if k - m > 1e-3:  # the bound divides by k_a - m_a
+        log_cut = np.log(s) + (
+            s / k - math.log(0.5 * _TAIL) + m * math.log(k) - math.log(m)
+            - math.lgamma(k + 1.0) - math.log(k - m)
+        ) / (k - m)
+        top = np.minimum(top, np.exp(np.minimum(log_cut, 700.0)))
+    out = sc.gammainc(m, eps)  # the head
+    open_ = np.flatnonzero(top > eps)
+    if open_.size:
+        lo, hi = eps[open_], top[open_]
+        n = np.maximum(np.ceil(per_log * np.log(hi / lo)), 1.0)
+        v, w, row = _panels(lo, hi, n)
+        dens = np.exp((m - 1.0) * np.log(v) - v - sc.gammaln(m))
+        vals = w * sc.gammainc(k, s[open_][row] / v) * dens
+        out[open_] += np.bincount(row, weights=vals, minlength=open_.size)
+    return np.minimum(out, 1.0)
 
 
 def _cdf_A_quadrature(p: KGParams, x: float) -> float:
     """Quadrature route for F_A, accurate in relative terms deep into both
-    tails.  Panel count is doubled once as a self-check; on disagreement
-    the adaptive integrator takes over."""
+    tails.  The fine rule is checked against the coarse one; on
+    disagreement the adaptive integrator takes over."""
     if x <= 0.0:
         return 0.0
     if x >= _x_upper(p):
         return 1.0
-    span = sc.gammainccinv(p.m_a, 1e-18) * sc.gammainccinv(p.k_a, 1e-18) / (p.xi * x) ** 2
-    n_panels = min(64, max(12, int(3.0 * math.log10(max(span, 10.0)))))
-    coarse = _cdf_A_quad_value(p, x, n_panels)
-    fine = _cdf_A_quad_value(p, x, 2 * n_panels)
+    coarse = float(_cdf_A_quad_value(p, x, _panels_per_log(p, fine=False))[0])
+    fine = float(_cdf_A_quad_value(p, x, _panels_per_log(p, fine=True))[0])
     if abs(fine - coarse) <= max(1e-13, 5e-11 * fine):
         return fine
     s = (p.xi * x) ** 2
@@ -400,33 +441,36 @@ def pdf_A(p: KGParams, x) -> np.ndarray | float:
         out = np.exp(log_pdf)
     bad = ~np.isfinite(out)
     if np.any(bad):
-        flat = np.atleast_1d(out)
-        xflat = np.atleast_1d(x_arr)
-        for i in np.flatnonzero(np.atleast_1d(bad)):
-            flat[i] = _pdf_A_quadrature(p, float(xflat[i]))
-        out = flat.reshape(np.shape(out))
+        out = np.array(out, ndmin=1)
+        flat_bad = np.atleast_1d(bad)
+        out[flat_bad] = _pdf_A_quadrature(p, np.atleast_1d(x_arr)[flat_bad])
+        out = out.reshape(np.shape(bad))
     return out if out.ndim else float(out)
 
 
-def _pdf_A_quadrature(p: KGParams, x: float) -> float:
-    """f_A(x) = E_V[ gamma-density(k, s/V) * 2 xi^2 x / V ], V ~ Gamma(m)."""
+def _pdf_A_quadrature(p: KGParams, x: np.ndarray) -> np.ndarray:
+    """f_A(x) = E_V[ gamma-density(k, s/V) * 2 xi^2 x / V ], V ~ Gamma(m),
+    at every abscissa of x."""
     s = (p.xi * x) ** 2
-    d = p.m_a - p.k_a
-    v_star = 0.5 * (d + math.sqrt(d * d + 4.0 * s))  # stationary point of the log
-    lo = min(s / sc.gammainccinv(p.k_a, 1e-20), v_star) / 8.0
-    hi = max(sc.gammainccinv(p.m_a, 1e-20), v_star * 8.0)
-    v, w = _panels(lo, hi, 48)
+    d = p.k_a - p.m_a
+    # stationary point of the log, the positive root of v^2 + d v - s,
+    # in the form that does not cancel to 0 at small s
+    root = np.sqrt(d * d + 4.0 * s)
+    v_star = 2.0 * s / (d + root) if d > 0.0 else 0.5 * (root - d)
+    lo = np.minimum(s / sc.gammainccinv(p.k_a, 1e-20), v_star) / 8.0
+    hi = np.maximum(sc.gammainccinv(p.m_a, 1e-20), v_star * 8.0)
+    v, w, row = _panels(lo, hi, 48)
     log_f = (
         (p.m_a - 1.0) * np.log(v)
         - v
         - sc.gammaln(p.m_a)
-        + (p.k_a - 1.0) * (math.log(s) - np.log(v))
-        - s / v
+        + (p.k_a - 1.0) * (np.log(s[row]) - np.log(v))
+        - s[row] / v
         - sc.gammaln(p.k_a)
-        + math.log(2.0 * p.xi**2 * x)
+        + np.log(2.0 * p.xi**2 * x[row])
         - np.log(v)
     )
-    return float(np.sum(w * np.exp(log_f)))
+    return np.bincount(row, weights=w * np.exp(log_f), minlength=x.size)
 
 
 # ---------------------------------------------------------------------------
@@ -488,24 +532,114 @@ def cdf_Ae2e(p: KGParams, s: MisalignmentStats, x: float) -> float:
     return math.exp(_log_cdf(p, s, x))
 
 
+# The end-to-end twins integrate over L = log of the inner argument x/y.
+# With t = (y/B_o)^zeta uniform on (0, 1], t = exp(zeta (L_c - L)) for
+# L_c = log(x/B_o), so both become integrals against the weight
+# zeta exp(zeta (L_c - L)) dL on [L_c, L_top]:
+#   F(x) = t_top + int F_A(e^L) weight dL,   t_top = exp(zeta (L_c - L_top))
+#   f(x) = (1/x) int f_A(e^L) e^L weight dL.
+# The fixed rule puts Gauss-Legendre segments on [L_c, L_top] graded
+# geometrically away from L_c (where the weight falls on the scale
+# 1/zeta) and from the mean of log A (the knee of F_A, on the scale of
+# the standard deviation of log A).  Nodes per segment of the coarse and
+# of the fine rule (whose inner rules are the coarse and fine V-panels):
+_E2E_NODES = (12, 16)
+# segments start at this many weight scales 1/zeta and knee scales
+_E2E_WEIGHT_STEP = 4.0
+_E2E_KNEE_STEP = 1.0
+# L_top is at most this many weight scales above max(L_c, mean log A):
+# beyond it the weight has fallen by e^-50, and the integrand near the
+# lower of the two carries at least (1 - 1/e)/e of its weight there
+# (log A has a log-concave density, so P(log A <= its mean) >= 1/e).
+# Both integrands have log-slope <= 2 m_a - zeta, so for zeta >= 4 m_a
+# everything beyond L_c + _E2E_MARGIN / (zeta - 2 m_a), head included, is
+# below e^-50 zeta / (zeta - 2 m_a) <= 2e-22 of the value near L_c.
+_E2E_MARGIN = 50.0
+
+
+def _e2e_nodes(
+    p: KGParams, s: MisalignmentStats, x: float, n_nodes: int
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """(z = e^L nodes, weights including zeta exp(zeta (L_c - L)), t_top)
+    of the outer rule; see the comment above _E2E_NODES."""
+    zeta = s.zeta
+    l_c = math.log(x / s.b_o)
+    mean = 0.5 * float(sc.digamma(p.k_a) + sc.digamma(p.m_a)) - math.log(p.xi)
+    std = 0.5 * math.sqrt(float(sc.polygamma(1, p.k_a) + sc.polygamma(1, p.m_a)))
+    l_top = min(math.log(_x_upper(p)), max(l_c, mean) + _E2E_MARGIN / zeta)
+    t_top = math.exp(zeta * (l_c - l_top))
+    if zeta >= 4.0 * p.m_a and l_c + _E2E_MARGIN / (zeta - 2.0 * p.m_a) < l_top:
+        l_top, t_top = l_c + _E2E_MARGIN / (zeta - 2.0 * p.m_a), 0.0
+    centres = [(l_c, _E2E_WEIGHT_STEP / zeta)]
+    if mean < l_top:
+        centres.append((mean, _E2E_KNEE_STEP * std))
+    edges = [l_c, l_top]
+    for centre, step in centres:
+        edges.append(centre)
+        while centre - step > l_c or centre + step < l_top:
+            edges += [centre - step, centre + step]
+            step *= 2.0
+    edges = np.unique(np.clip(edges, l_c, l_top))
+    g, gw = _gauss_legendre(n_nodes)
+    half = 0.5 * np.diff(edges)[:, None]
+    ell = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half * g
+    weights = (half * gw).ravel() * zeta * np.exp(zeta * (l_c - ell.ravel()))
+    return np.exp(ell.ravel()), weights, t_top
+
+
+def _cdf_Ae2e_rule(p: KGParams, s: MisalignmentStats, x: float, fine: bool) -> float:
+    """The fixed tensor-product rule for F_{A_e2e}(x): the outer rule over
+    L times the inner V-integral of F_A at every outer node, in one call."""
+    z, w, t_top = _e2e_nodes(p, s, x, _E2E_NODES[fine])
+    inner = _cdf_A_quad_value(p, z, _panels_per_log(p, fine))
+    return t_top + float(np.dot(w, inner))
+
+
+def _pdf_Ae2e_rule(p: KGParams, s: MisalignmentStats, x: float, fine: bool) -> float:
+    """The fixed rule for f_{A_e2e}(x): one vectorised pdf_A call."""
+    z, w, _ = _e2e_nodes(p, s, x, _E2E_NODES[fine])
+    return float(np.dot(w, pdf_A(p, z) * z)) / x
+
+
+def _rules_agree(coarse: float, fine: float) -> bool:
+    """Self-check of a fixed rule: the fine value is kept when the coarse
+    one agrees with it."""
+    return abs(fine - coarse) <= max(1e-13, 1e-9 * abs(fine))
+
+
 def cdf_Ae2e_quadrature(p: KGParams, s: MisalignmentStats, x: float) -> float:
     """Defining integral F(x) = int_0^{B_o} F_A(x/y) f_{h_g}(y) dy.
 
     Substituting y = B_o t^(1/zeta) absorbs the power-law weight exactly
-    (t is the CDF of the loss, uniform on (0,1]); integrating over
-    u = log t then gives the knee of the inner CDF an O(1) width instead
-    of a spike crammed against t = 0, which a subdivision rule can miss.
-    Below the saturation knee the inner CDF is 1 to within 1e-18 and that
-    head integrates in closed form.  Absolute error target 1e-9.
+    (t is the CDF of the loss, uniform on (0,1]).  A fixed tensor-product
+    Gauss-Legendre rule over (log(x/y), V) gives the value when its coarse
+    and fine versions agree within max(1e-13, 1e-9 F); otherwise the
+    adaptive integrator over u = log t does (absolute error estimate at
+    most max(1e-9, 1e-8 F), else NoConvergence).
     """
     if x < 0:
         raise DomainError(f"cdf_Ae2e_quadrature requires x >= 0, got {x}")
     if x == 0.0:
         return 0.0
+    if x >= s.b_o * _x_upper(p):
+        return 1.0
+    coarse = _cdf_Ae2e_rule(p, s, x, fine=False)
+    fine = _cdf_Ae2e_rule(p, s, x, fine=True)
+    if _rules_agree(coarse, fine):
+        return min(max(fine, 0.0), 1.0)
+    return _cdf_Ae2e_adaptive(p, s, x)
+
+
+def _cdf_Ae2e_adaptive(p: KGParams, s: MisalignmentStats, x: float) -> float:
+    """Adaptive fallback of cdf_Ae2e_quadrature, for 0 < x < B_o x_up.
+
+    Integrating over u = log t gives the knee of the inner CDF an O(1)
+    width instead of a spike crammed against t = 0, which a subdivision
+    rule can miss.  Below the saturation knee the inner CDF is 1 to
+    within 1e-18 and that head integrates in closed form.
+    """
     zeta, b_o = s.zeta, s.b_o
     x_up = _x_upper(p)
-    if x >= b_o * x_up:
-        return 1.0
 
     # t below which the inner CDF saturates at 1 (within 1e-18)
     log_t_sat = zeta * (math.log(x) - math.log(b_o * x_up))
@@ -540,7 +674,10 @@ def pdf_Ae2e(p: KGParams, s: MisalignmentStats, x: float) -> float:
     integral: f(x) = (zeta/x) int_{x/B_o}^inf f_A(v) (v B_o / x)^(-zeta) dv.
 
     The power factor is bounded by 1 on the integration range, so the
-    integrand is smooth and overflow-free.  Very large zeta concentrates
+    integrand is smooth and overflow-free.  Up to zeta = 500 the fixed
+    rule of cdf_Ae2e_quadrature over log v gives the value when its
+    coarse and fine versions agree within max(1e-13, 1e-9 f), and the
+    adaptive integrator over v otherwise.  Very large zeta concentrates
     the loss at B_o and the integral narrows onto its lower endpoint;
     that regime uses the equivalent t-substituted form instead.
     """
@@ -551,26 +688,40 @@ def pdf_Ae2e(p: KGParams, s: MisalignmentStats, x: float) -> float:
     if x >= b_o * x_up:
         return 0.0
     if zeta <= 500.0:
-        lo = x / b_o
+        coarse = _pdf_Ae2e_rule(p, s, x, fine=False)
+        fine = _pdf_Ae2e_rule(p, s, x, fine=True)
+        if _rules_agree(coarse, fine):
+            return max(fine, 0.0)
+        return _pdf_Ae2e_adaptive(p, s, x)
 
-        def integrand(v: float) -> float:
-            return float(pdf_A(p, v)) * math.exp(-zeta * math.log(v * b_o / x))
+    def integrand_t(t: float) -> float:
+        y = b_o * t ** (1.0 / zeta)
+        return float(pdf_A(p, x / y)) / y
 
-        pts = [c for c in (math.sqrt(p.omega_a), 2 * lo) if lo < c < x_up]
-        val, err, *rest = si.quad(
-            integrand, lo, x_up, points=sorted(set(pts)) or None,
-            epsabs=1e-13, epsrel=1e-10, limit=400, full_output=1,
-        )
-        val *= zeta / x
-    else:
-        def integrand_t(t: float) -> float:
-            y = b_o * t ** (1.0 / zeta)
-            return float(pdf_A(p, x / y)) / y
+    val, err, *rest = si.quad(
+        integrand_t, 0.0, 1.0, epsabs=1e-13, epsrel=1e-10, limit=400,
+        full_output=1,
+    )
+    if not math.isfinite(val):
+        raise NoConvergence(f"pdf_Ae2e quadrature failed at x={x}")
+    return max(val, 0.0)
 
-        val, err, *rest = si.quad(
-            integrand_t, 0.0, 1.0, epsabs=1e-13, epsrel=1e-10, limit=400,
-            full_output=1,
-        )
+
+def _pdf_Ae2e_adaptive(p: KGParams, s: MisalignmentStats, x: float) -> float:
+    """Adaptive fallback of pdf_Ae2e for zeta <= 500 and 0 < x < B_o x_up."""
+    zeta, b_o = s.zeta, s.b_o
+    x_up = _x_upper(p)
+    lo = x / b_o
+
+    def integrand(v: float) -> float:
+        return float(pdf_A(p, v)) * math.exp(-zeta * math.log(v * b_o / x))
+
+    pts = [c for c in (math.sqrt(p.omega_a), 2 * lo) if lo < c < x_up]
+    val, err, *rest = si.quad(
+        integrand, lo, x_up, points=sorted(set(pts)) or None,
+        epsabs=1e-13, epsrel=1e-10, limit=400, full_output=1,
+    )
+    val *= zeta / x
     if not math.isfinite(val):
         raise NoConvergence(f"pdf_Ae2e quadrature failed at x={x}")
     return max(val, 0.0)

@@ -50,9 +50,12 @@ def _selftest(out=sys.stdout) -> int:
     from .cascade import (
         cdf_A,
         _cdf_A_quadrature,
+        _cdf_Ae2e_adaptive,
+        _pdf_Ae2e_adaptive,
         cdf_Ae2e,
         cdf_Ae2e_quadrature,
         moment_match,
+        pdf_Ae2e,
     )
     from .fading import from_nakagami, from_rice
     from .geometry import MisalignmentStats
@@ -90,6 +93,17 @@ def _selftest(out=sys.stdout) -> int:
         check(f"dual-path cdf_Ae2e (N={n})", worst_e < 1e-6, f"max abs diff {worst_e:.2e}")
 
     d1, d2, n = configs[0]
+    kg = moment_match(d1, d2, n)
+    worst = 0.0
+    for frac in (0.05, 0.5, 1.0):
+        x = frac * math.sqrt(kg.omega_a)
+        for fixed, adaptive in (
+            (cdf_Ae2e_quadrature, _cdf_Ae2e_adaptive), (pdf_Ae2e, _pdf_Ae2e_adaptive)
+        ):
+            ref = adaptive(kg, stats, x)
+            worst = max(worst, abs(fixed(kg, stats, x) - ref) / ref)
+    check(f"fixed rule vs adaptive fallback (N={n})", worst < 1e-6, f"max rel diff {worst:.2e}")
+
     hw = HardwareProfile(0.1, 0.1)
     args = (d1, d2, n, stats, hw, 10.0, 1.0)
     est1 = simulate_op(*args, MCConfig(samples=200_000, seed=7, workers=1))

@@ -158,7 +158,9 @@ def op_floor(s: OutageScenario) -> float:
     above it.
 
     Raises FloorUndefined when zeta >= 2 min(k_a, m_a), where a gamma
-    argument is non-positive and the closed form is invalid.
+    argument is non-positive and the closed form is invalid, and when the
+    coefficient is at least 1, which is not a probability.  The first
+    argument of the exception is the short reason.
     """
     if s.mis is None:
         raise DomainError("op_floor requires a misalignment scenario")
@@ -167,9 +169,16 @@ def op_floor(s: OutageScenario) -> float:
     p, zeta, b_o = s.kg, s.mis.zeta, s.mis.b_o
     if zeta >= 2.0 * min(p.k_a, p.m_a):
         raise FloorUndefined(
-            f"zeta = {zeta!r} >= 2 min(k_a, m_a) = {2 * min(p.k_a, p.m_a)!r}"
+            "Gamma-argument condition violated",
+            f"(zeta = {zeta!r} >= 2 min(k_a, m_a) = {2 * min(p.k_a, p.m_a)!r})",
         )
     (_, log_t0), _ = _expansion_terms(p, 1.0 / b_o, zeta)
+    if log_t0 >= 0.0:
+        raise FloorUndefined(
+            "floor coefficient >= 1, not a probability",
+            f"(coefficient {math.exp(min(log_t0, 700.0)):.6g} at zeta = {zeta!r},"
+            f" B_o = {b_o!r})",
+        )
     return math.exp(log_t0)
 
 

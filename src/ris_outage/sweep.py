@@ -187,6 +187,6 @@ def derived_report(scn: ScenarioFile) -> dict:
             )
             try:
                 out["floor"] = op_floor(scenario)
-            except FloorUndefined:
-                out["floor"] = "UNDEFINED (Gamma-argument condition violated)"
+            except FloorUndefined as exc:
+                out["floor"] = f"UNDEFINED ({exc.args[0]})"
     return out

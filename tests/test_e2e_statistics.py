@@ -22,6 +22,7 @@ from ris_outage import (
     simulate_cdf,
     sum_moments,
 )
+from ris_outage import cascade
 from ris_outage.cascade import _cdf_A_quadrature
 
 RICE_5DB = 10.0 ** 0.5
@@ -350,3 +351,112 @@ class TestPdfAe2e:
             h = 1e-5 * mean
             deriv = (cdf_Ae2e(p, s, x + h) - cdf_Ae2e(p, s, x - h)) / (2.0 * h)
             assert deriv == pytest.approx(pdf_Ae2e(p, s, float(x)), rel=1e-5)
+
+
+# --- the fixed Gauss-Legendre rules of the end-to-end twins ------------------
+
+FIXED_RULE_ZETAS = (0.5, 1.5, 3.43, 14.5, 40.0)
+
+
+def _fixed_rule_cases():
+    """(law id, KGParams, zeta): N = 4 and 16 over FIXED_RULE_ZETAS, the
+    k_a - m_a integer band over the same zetas, and zeta/2 = m_a on the
+    pole lattice."""
+    laws = (
+        ("N4", kg_reference(4)),
+        ("N16", kg_reference(16)),
+        ("integer", make_kg(2.3 + 3.0 + 5e-4, 2.3)),
+    )
+    for name, p in laws:
+        for zeta in FIXED_RULE_ZETAS:
+            yield pytest.param(p, zeta, id=f"{name}-zeta{zeta:g}")
+    for n in (4, 16):
+        p = kg_reference(n)
+        yield pytest.param(p, 2.0 * p.m_a, id=f"N{n}-pole")
+
+
+def _x_at(p, s, level):
+    """x where F_{A_e2e} is within a small factor of level: secant steps
+    in (log x, log F) on the quadrature twin."""
+    lx = [math.log(0.5 * s.b_o * math.sqrt(p.omega_a)), math.log(0.4 * s.b_o * math.sqrt(p.omega_a))]
+    lf = [math.log(cdf_Ae2e_quadrature(p, s, math.exp(v))) for v in lx]
+    for _ in range(6):
+        slope = (lf[1] - lf[0]) / (lx[1] - lx[0])
+        nxt = lx[1] + (math.log(level) - lf[1]) / slope
+        lx = [lx[1], nxt]
+        lf = [lf[1], math.log(cdf_Ae2e_quadrature(p, s, math.exp(nxt)))]
+        if abs(lf[1] - math.log(level)) < 0.5:
+            break
+    return math.exp(lx[1])
+
+
+FIXED_RULE_LEVELS = (1e-15, 1e-9, 1e-3, 0.5)
+
+
+class TestFixedRules:
+    @pytest.mark.parametrize(
+        "p,zeta", [c for c in _fixed_rule_cases() if cascade._series_defined(*c.values)]
+    )
+    def test_quadrature_matches_series_in_tail(self, p, zeta):
+        s = make_stats(0.6, zeta)
+        checked = 0
+        for level in FIXED_RULE_LEVELS[:-1]:
+            x = _x_at(p, s, level)
+            sign, logmag, cond = cascade._cdf_Ae2e_series(p, s, x)
+            if not (sign > 0.0 and logmag <= 0.0 and cond < cascade._COND_LIMIT):
+                continue  # the router would not keep the series here
+            checked += 1
+            assert cdf_Ae2e_quadrature(p, s, x) == pytest.approx(
+                math.exp(logmag), rel=1e-8, abs=0.0
+            ), level
+        assert checked >= 2
+
+    @pytest.mark.parametrize("p,zeta", list(_fixed_rule_cases()))
+    def test_pdf_matches_central_difference(self, p, zeta):
+        s = make_stats(0.6, zeta)
+        for level in FIXED_RULE_LEVELS:
+            x = _x_at(p, s, level)
+            h = 1e-4
+            deriv = (cdf_Ae2e(p, s, x * (1 + h)) - cdf_Ae2e(p, s, x * (1 - h))) / (2 * h * x)
+            assert pdf_Ae2e(p, s, x) == pytest.approx(deriv, rel=1e-6), level
+
+    @pytest.mark.parametrize("fine", [False, True])
+    def test_failed_self_check_returns_adaptive_result(self, monkeypatch, fine):
+        p = kg_reference(4)
+        s = make_stats(0.6, 3.43)
+        # a two-node rule on either side cannot agree with the other one
+        nodes = list(cascade._E2E_NODES)
+        nodes[fine] = 2
+        monkeypatch.setattr(cascade, "_E2E_NODES", tuple(nodes))
+        for frac in (0.05, 0.3, 1.0):
+            x = frac * s.b_o * math.sqrt(p.omega_a)
+            assert not cascade._rules_agree(
+                cascade._cdf_Ae2e_rule(p, s, x, False), cascade._cdf_Ae2e_rule(p, s, x, True)
+            )
+            assert cdf_Ae2e_quadrature(p, s, x) == cascade._cdf_Ae2e_adaptive(p, s, x)
+            assert pdf_Ae2e(p, s, x) == cascade._pdf_Ae2e_adaptive(p, s, x)
+
+    def test_benchmark_shaped_grid_takes_no_fallback(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError(f"adaptive fallback taken at {args[2]!r}")
+
+        monkeypatch.setattr(cascade, "_cdf_Ae2e_adaptive", fail)
+        monkeypatch.setattr(cascade, "_pdf_Ae2e_adaptive", fail)
+        def rice(k_db):
+            return from_rice(10.0 ** (k_db / 10.0), 20)
+
+        laws = [
+            (moment_match(from_nakagami(1.0), rice(5.0), 4), 3.45),
+            (moment_match(from_nakagami(1.0), from_nakagami(2.5), 8), 3.4),
+            (moment_match(from_nakagami(1.5), rice(3.0), 16), 3.55),
+            (moment_match(from_nakagami(1.0), rice(6.0), 32), 3.3),
+        ]
+        pole = moment_match(from_nakagami(1.2), rice(4.0), 8)
+        laws.append((pole, 2.0 * pole.m_a))
+        laws.append((make_kg(1.2 + 3.0 + 3e-4, 1.2), 3.5))
+        for p, zeta in laws:
+            s = make_stats(0.67, zeta)
+            for u in np.geomspace(0.05, 1.5, 10):
+                x = float(u) * s.b_o * math.sqrt(p.omega_a)
+                assert 0.0 < cdf_Ae2e_quadrature(p, s, x) < 1.0
+                assert pdf_Ae2e(p, s, x) > 0.0

@@ -194,6 +194,17 @@ class TestOpFloor:
         with pytest.raises(FloorUndefined):
             op_floor(sc)
 
+    @pytest.mark.parametrize("zeta,coefficient", [(0.7, 2.27164), (1.9, 96.6489)])
+    def test_undefined_when_coefficient_not_a_probability(self, zeta, coefficient):
+        # Nakagami(1) x Nakagami(2), N = 1: zeta < 2 min(k_a, m_a) = 2, yet
+        # the x^zeta coefficient exceeds 1
+        p = moment_match(from_nakagami(1.0), from_nakagami(2.0), 1)
+        sc = OutageScenario(kg=p, hw=HardwareProfile(), gamma=10.0, gamma_th=1.0,
+                            mis=make_stats(0.6, zeta))
+        with pytest.raises(FloorUndefined, match="not a probability") as info:
+            op_floor(sc)
+        assert f"coefficient {coefficient:g}" in str(info.value)
+
     def test_requires_misalignment(self):
         p = kg_reference(4)
         sc = OutageScenario(kg=p, hw=HardwareProfile(), gamma=10.0, gamma_th=1.0)
