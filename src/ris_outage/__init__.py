@@ -63,7 +63,7 @@ from .outage import (
     op_floor,
 )
 from .scenario import ScenarioFile, SweepSpec, load_scenario, parse_scenario
-from .special import SeriesControl, bessel_k, erf, gamma, hyp1f2
+from .special import SeriesControl, hyp1f2
 from .sweep import SweepRow, derived_report, evaluate_sweep
 
 __version__ = "0.1.0"
@@ -123,9 +123,6 @@ __all__ = [
     "load_scenario",
     "parse_scenario",
     "SeriesControl",
-    "bessel_k",
-    "erf",
-    "gamma",
     "hyp1f2",
     "SweepRow",
     "derived_report",

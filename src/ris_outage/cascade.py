@@ -4,9 +4,11 @@ end-to-end gain A_e2e = h_g * A.
 A is moment-matched (orders 2, 4, 6) to a generalized-K law; its CDF and
 the CDF of A_e2e each have two independent evaluation routes: a
 hypergeometric series expansion and direct quadrature.  The series are
-fast and precise in the deep lower tail; the quadrature is
-cancellation-free everywhere and acts as the ground-truth oracle.  Both
-routes must agree wherever both apply, and the test suite enforces that.
+fast and precise in the deep lower tail; the quadrature is a fixed
+Gauss-Legendre rule, cancellation-free everywhere, that checks itself
+against a coarser copy and raises NoConvergence when the two disagree.
+Both routes must agree wherever both apply, and the test suite enforces
+that against each other and against extended-precision references.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate as si
 import scipy.special as sc
 
 from .errors import DomainError, MomentMatchFailure, NoConvergence
@@ -47,7 +48,6 @@ _DEGENERACY_BAND = 1e-3
 # would reject.  Large shapes stay well conditioned past it (cond < 40 up
 # to z = 400 at (k_a, m_a) = (228.3, 64.1)) and take quadrature there.
 _SERIES_Z_LIMIT = 400.0
-_QUAD_TARGET = 1e-9
 
 
 @dataclass(frozen=True)
@@ -233,36 +233,32 @@ def _cdf_A_quad_value(p: KGParams, x, per_log: float) -> np.ndarray:
     return np.minimum(out, 1.0)
 
 
+def _self_checked(route: str, x: float, rule, rel: float) -> float:
+    """The fine value of a fixed rule, rule(fine=True), once the coarse
+    one, rule(fine=False), agrees with it within max(1e-13, rel |fine|);
+    NoConvergence otherwise."""
+    coarse, fine = rule(False), rule(True)
+    if abs(fine - coarse) <= max(1e-13, rel * abs(fine)):
+        return fine
+    raise NoConvergence(
+        f"{route} fixed rule failed its self-check at x={x!r}: "
+        f"coarse {coarse!r}, fine {fine!r}"
+    )
+
+
 def _cdf_A_quadrature(p: KGParams, x: float) -> float:
     """Quadrature route for F_A, accurate in relative terms deep into both
-    tails.  The fine rule is checked against the coarse one; on
-    disagreement the adaptive integrator takes over."""
+    tails: the V-integral of _cdf_A_quad_value, fine rule checked against
+    the coarse one within max(1e-13, 5e-11 F)."""
     if x <= 0.0:
         return 0.0
     if x >= _x_upper(p):
         return 1.0
-    coarse = float(_cdf_A_quad_value(p, x, _panels_per_log(p, fine=False))[0])
-    fine = float(_cdf_A_quad_value(p, x, _panels_per_log(p, fine=True))[0])
-    if abs(fine - coarse) <= max(1e-13, 5e-11 * fine):
-        return fine
-    s = (p.xi * x) ** 2
-    eps = s / sc.gammainccinv(p.k_a, 1e-18)
-    hi = sc.gammainccinv(p.m_a, 1e-18)
-    head = float(sc.gammainc(p.m_a, eps))
-
-    def integrand(v):
-        return sc.gammainc(p.k_a, s / v) * math.exp(
-            (p.m_a - 1.0) * math.log(v) - v - sc.gammaln(p.m_a)
-        )
-
-    pts = sorted({min(max(s / p.k_a, eps * 1.01), hi * 0.99), min(p.m_a, hi * 0.99)})
-    val, err, *rest = si.quad(
-        integrand, eps, hi, points=pts, epsabs=0.0, epsrel=1e-12, limit=800,
-        full_output=1,
+    return _self_checked(
+        "cdf_A", x,
+        lambda fine: float(_cdf_A_quad_value(p, x, _panels_per_log(p, fine))[0]),
+        rel=5e-11,
     )
-    if err > max(_QUAD_TARGET, 1e-9 * abs(val)):
-        raise NoConvergence(f"cdf_A quadrature error estimate {err:g} at x={x}")
-    return min(head + val, 1.0)
 
 
 def _signed_logsum(terms: list[tuple[float, float]]) -> tuple[float, float]:
@@ -601,21 +597,14 @@ def _pdf_Ae2e_rule(p: KGParams, s: MisalignmentStats, x: float, fine: bool) -> f
     return float(np.dot(w, pdf_A(p, z) * z)) / x
 
 
-def _rules_agree(coarse: float, fine: float) -> bool:
-    """Self-check of a fixed rule: the fine value is kept when the coarse
-    one agrees with it."""
-    return abs(fine - coarse) <= max(1e-13, 1e-9 * abs(fine))
-
-
 def cdf_Ae2e_quadrature(p: KGParams, s: MisalignmentStats, x: float) -> float:
     """Defining integral F(x) = int_0^{B_o} F_A(x/y) f_{h_g}(y) dy.
 
     Substituting y = B_o t^(1/zeta) absorbs the power-law weight exactly
     (t is the CDF of the loss, uniform on (0,1]).  A fixed tensor-product
-    Gauss-Legendre rule over (log(x/y), V) gives the value when its coarse
-    and fine versions agree within max(1e-13, 1e-9 F); otherwise the
-    adaptive integrator over u = log t does (absolute error estimate at
-    most max(1e-9, 1e-8 F), else NoConvergence).
+    Gauss-Legendre rule over (log(x/y), V) gives the value once its coarse
+    and fine versions agree within max(1e-13, 1e-9 F); otherwise it
+    raises NoConvergence.
     """
     if x < 0:
         raise DomainError(f"cdf_Ae2e_quadrature requires x >= 0, got {x}")
@@ -623,50 +612,10 @@ def cdf_Ae2e_quadrature(p: KGParams, s: MisalignmentStats, x: float) -> float:
         return 0.0
     if x >= s.b_o * _x_upper(p):
         return 1.0
-    coarse = _cdf_Ae2e_rule(p, s, x, fine=False)
-    fine = _cdf_Ae2e_rule(p, s, x, fine=True)
-    if _rules_agree(coarse, fine):
-        return min(max(fine, 0.0), 1.0)
-    return _cdf_Ae2e_adaptive(p, s, x)
-
-
-def _cdf_Ae2e_adaptive(p: KGParams, s: MisalignmentStats, x: float) -> float:
-    """Adaptive fallback of cdf_Ae2e_quadrature, for 0 < x < B_o x_up.
-
-    Integrating over u = log t gives the knee of the inner CDF an O(1)
-    width instead of a spike crammed against t = 0, which a subdivision
-    rule can miss.  Below the saturation knee the inner CDF is 1 to
-    within 1e-18 and that head integrates in closed form.
-    """
-    zeta, b_o = s.zeta, s.b_o
-    x_up = _x_upper(p)
-
-    # t below which the inner CDF saturates at 1 (within 1e-18)
-    log_t_sat = zeta * (math.log(x) - math.log(b_o * x_up))
-    u_lo = max(log_t_sat, -740.0)
-    head = math.exp(u_lo) if log_t_sat > -740.0 else 0.0
-
-    def integrand(u: float) -> float:
-        t = math.exp(u)
-        return cdf_A(p, x / (b_o * t ** (1.0 / zeta))) * t
-
-    # ladder of breakpoints around the bulk knee (F_A ~ 1/2) of the inner CDF
-    u_bulk = zeta * (math.log(x) - math.log(b_o * math.sqrt(p.omega_a)))
-    pts = sorted(
-        u_bulk + off
-        for off in (-4.0, -2.0, 0.0, 2.0, 5.0, 10.0)
-        if u_lo < u_bulk + off < 0.0
+    fine = _self_checked(
+        "cdf_Ae2e", x, lambda fine: _cdf_Ae2e_rule(p, s, x, fine), rel=1e-9
     )
-    val, err, *rest = si.quad(
-        integrand, u_lo, 0.0, points=pts or None,
-        epsabs=1e-13, epsrel=1e-11, limit=500, full_output=1,
-    )
-    val += head
-    if err > max(_QUAD_TARGET, 1e-8 * abs(val)):
-        raise NoConvergence(
-            f"cdf_Ae2e quadrature error estimate {err:g} at x={x}"
-        )
-    return min(max(val, 0.0), 1.0)
+    return min(max(fine, 0.0), 1.0)
 
 
 def pdf_Ae2e(p: KGParams, s: MisalignmentStats, x: float) -> float:
@@ -674,54 +623,17 @@ def pdf_Ae2e(p: KGParams, s: MisalignmentStats, x: float) -> float:
     integral: f(x) = (zeta/x) int_{x/B_o}^inf f_A(v) (v B_o / x)^(-zeta) dv.
 
     The power factor is bounded by 1 on the integration range, so the
-    integrand is smooth and overflow-free.  Up to zeta = 500 the fixed
-    rule of cdf_Ae2e_quadrature over log v gives the value when its
-    coarse and fine versions agree within max(1e-13, 1e-9 f), and the
-    adaptive integrator over v otherwise.  Very large zeta concentrates
-    the loss at B_o and the integral narrows onto its lower endpoint;
-    that regime uses the equivalent t-substituted form instead.
+    integrand is smooth and overflow-free.  The fixed rule of
+    cdf_Ae2e_quadrature over log v gives the value once its coarse and
+    fine versions agree within max(1e-13, 1e-9 f); otherwise it raises
+    NoConvergence.  For large zeta the loss concentrates at B_o and the
+    rule's range narrows onto x/B_o (the zeta >= 4 m_a cut of _e2e_nodes).
     """
     if x <= 0:
         raise DomainError(f"pdf_Ae2e requires x > 0, got {x}")
-    zeta, b_o = s.zeta, s.b_o
-    x_up = _x_upper(p)
-    if x >= b_o * x_up:
+    if x >= s.b_o * _x_upper(p):
         return 0.0
-    if zeta <= 500.0:
-        coarse = _pdf_Ae2e_rule(p, s, x, fine=False)
-        fine = _pdf_Ae2e_rule(p, s, x, fine=True)
-        if _rules_agree(coarse, fine):
-            return max(fine, 0.0)
-        return _pdf_Ae2e_adaptive(p, s, x)
-
-    def integrand_t(t: float) -> float:
-        y = b_o * t ** (1.0 / zeta)
-        return float(pdf_A(p, x / y)) / y
-
-    val, err, *rest = si.quad(
-        integrand_t, 0.0, 1.0, epsabs=1e-13, epsrel=1e-10, limit=400,
-        full_output=1,
+    fine = _self_checked(
+        "pdf_Ae2e", x, lambda fine: _pdf_Ae2e_rule(p, s, x, fine), rel=1e-9
     )
-    if not math.isfinite(val):
-        raise NoConvergence(f"pdf_Ae2e quadrature failed at x={x}")
-    return max(val, 0.0)
-
-
-def _pdf_Ae2e_adaptive(p: KGParams, s: MisalignmentStats, x: float) -> float:
-    """Adaptive fallback of pdf_Ae2e for zeta <= 500 and 0 < x < B_o x_up."""
-    zeta, b_o = s.zeta, s.b_o
-    x_up = _x_upper(p)
-    lo = x / b_o
-
-    def integrand(v: float) -> float:
-        return float(pdf_A(p, v)) * math.exp(-zeta * math.log(v * b_o / x))
-
-    pts = [c for c in (math.sqrt(p.omega_a), 2 * lo) if lo < c < x_up]
-    val, err, *rest = si.quad(
-        integrand, lo, x_up, points=sorted(set(pts)) or None,
-        epsabs=1e-13, epsrel=1e-10, limit=400, full_output=1,
-    )
-    val *= zeta / x
-    if not math.isfinite(val):
-        raise NoConvergence(f"pdf_Ae2e quadrature failed at x={x}")
-    return max(val, 0.0)
+    return max(fine, 0.0)

@@ -11,10 +11,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.special as sc
 from scipy.constants import c as SPEED_OF_LIGHT
 
 from .errors import DegenerateJitter, DomainError
-from .special import erf
 
 __all__ = [
     "GeometryConfig",
@@ -55,6 +55,9 @@ class GeometryConfig:
     d_x: float = 0.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         if self.l2 <= 0:
             raise DomainError(f"l2 must be positive, got {self.l2}")
         if self.w_o <= 0:
@@ -191,10 +194,11 @@ def _stats_from_beamwidth(
 
     v_min = alpha / w * math.sqrt(math.pi / (2.0 * rho_min))
     v_max = alpha / w * math.sqrt(math.pi / (2.0 * rho_max))
-    b_o = erf(v_min) * erf(v_max)
+    erf_min, erf_max = float(sc.erf(v_min)), float(sc.erf(v_max))
+    b_o = erf_min * erf_max
 
-    k_min = math.sqrt(math.pi) * rho_min * erf(v_min) / (2.0 * v_min * math.exp(-v_min**2))
-    k_max = math.sqrt(math.pi) * rho_max * erf(v_max) / (2.0 * v_max * math.exp(-v_max**2))
+    k_min = math.sqrt(math.pi) * rho_min * erf_min / (2.0 * v_min * math.exp(-v_min**2))
+    k_max = math.sqrt(math.pi) * rho_max * erf_max / (2.0 * v_max * math.exp(-v_max**2))
     k_m = 0.5 * (k_min + k_max)
 
     jitter = 4.0 * sigma_p**2 + 4.0 * d_x**2 * sigma_o**2

@@ -1,9 +1,8 @@
-"""Real-argument special functions used by the closed-form channel statistics.
+"""The generalized hypergeometric 1F2 of the closed-form channel statistics.
 
-``gamma``, ``erf`` and ``bessel_k`` wrap scipy.special behind the error
-contracts of this package; the generalized hypergeometric ``hyp1f2`` is
-implemented directly as a compensated power series because scipy has no
-1F2 and the truncation policy must be explicit.
+``hyp1f2`` is implemented directly as a compensated power series because
+scipy has no 1F2 and the truncation policy must be explicit; the other
+special functions come from scipy.special at their call sites.
 """
 
 from __future__ import annotations
@@ -11,11 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import scipy.special as sc
+from .errors import DomainError, NoConvergence
 
-from .errors import DomainError, NoConvergence, PoleError
-
-__all__ = ["SeriesControl", "gamma", "erf", "bessel_k", "hyp1f2"]
+__all__ = ["SeriesControl", "hyp1f2"]
 
 
 @dataclass(frozen=True)
@@ -41,44 +38,6 @@ DEFAULT_SERIES_CONTROL = SeriesControl()
 
 def _is_nonpositive_integer(x: float, tol: float = 1e-9) -> bool:
     return x <= tol and abs(x - round(x)) < tol
-
-
-def gamma(x: float) -> float:
-    """Gamma function on the real line (poles excluded)."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"gamma requires finite x, got {x}")
-    if _is_nonpositive_integer(x):
-        raise PoleError(f"gamma pole at x = {x}")
-    val = float(sc.gamma(x))
-    if math.isinf(val):
-        raise OverflowError(f"gamma({x}) exceeds float range")
-    return val
-
-
-def erf(x: float) -> float:
-    """Error function; total on the reals, odd, bounded by 1."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"erf requires finite x, got {x}")
-    return float(sc.erf(x))
-
-
-def bessel_k(nu: float, x: float) -> float:
-    """Modified Bessel function of the second kind, real order.
-
-    Symmetric in the order (K_{-nu} = K_nu); bit-identical symmetry is
-    enforced by evaluating at |nu|.
-    """
-    nu, x = float(nu), float(x)
-    if x <= 0.0 or not math.isfinite(x):
-        raise DomainError(f"bessel_k requires x > 0, got {x}")
-    if abs(nu) > 50.0:
-        raise DomainError(f"bessel_k supports |nu| <= 50, got {nu}")
-    val = float(sc.kv(abs(nu), x))
-    if math.isinf(val):
-        raise OverflowError(f"bessel_k({nu}, {x}) exceeds float range")
-    return val
 
 
 def hyp1f2(

@@ -34,23 +34,6 @@ def mp_hyp1f2_brute(a, b1, b2, z, n_terms=800):
     return total
 
 
-def bessel_k_quadrature(nu: float, x: float) -> float:
-    """Integral representation K_nu(x) = int_0^inf e^(-x cosh t) cosh(nu t) dt."""
-    from scipy.integrate import quad
-
-    # e^(-x cosh t) is negligible once x cosh t - |nu| t >> 745
-    t_max = max(5.0, math.acosh((745.0 + 60.0 * abs(nu)) / x) + 2.0) if x < 745 else 6.0
-    val, _ = quad(
-        lambda t: math.exp(-x * math.cosh(t) + math.log(math.cosh(nu * t)) if nu else -x * math.cosh(t)),
-        0.0,
-        t_max,
-        epsabs=0.0,
-        epsrel=1e-13,
-        limit=400,
-    )
-    return val
-
-
 # --- generalized-K oracles ---------------------------------------------------
 
 
@@ -64,34 +47,39 @@ def _mp_kg_pdf(k, m, xx):
     )
 
 
+def _mp_branches(k, m, xx, x):
+    """The two terms C_s x^(2s) 1F2(s; 1+s, 1+s-o; xi^2 x^2) of the
+    expansion of F_A, evaluated at the working precision."""
+    z = xx * xx * x * x
+    return [
+        mp.gamma(o - s) * xx ** (2 * s) * x ** (2 * s) / (s * mp.gamma(k) * mp.gamma(m))
+        * mp.hyp1f2(s, 1 + s, 1 + s - o, z)
+        for s, o in ((m, k), (k, m))
+    ]
+
+
 def mp_cdf_A(k_a, m_a, xi, x):
     """50-digit CDF of the generalized-K law.
 
-    Routes: two-branch expansion for moderate arguments, density
-    quadrature near integer k - m, complement tail integral once the
-    expansion argument grows (where hypergeometric cancellation would
-    need hundreds of digits)."""
+    Routes: density quadrature near integer k - m, else the two-branch
+    expansion.  Once the expansion argument reaches 400 the branches grow
+    like exp(2 xi x) and cancel to F_A <= 1, so they are summed with the
+    working precision raised by log10 of the larger branch (taken from a
+    20-digit pre-pass) plus 10 guard digits."""
     k, m, xx = mp.mpf(str(k_a)), mp.mpf(str(m_a)), mp.mpf(str(xi))
     x = mp.mpf(str(x))
     if x <= 0:
         return mp.mpf(0)
-    pdf = _mp_kg_pdf(k, m, xx)
     d = k - m
-    z = xx * xx * x * x
     if abs(d - mp.nint(d)) < mp.mpf("1e-8"):
-        return mp.quad(pdf, [0, x])
-    if z < 400:
-        total = mp.mpf(0)
-        for s, o in ((m, k), (k, m)):
-            coef = mp.gamma(o - s) * xx ** (2 * s) * x ** (2 * s) / (
-                s * mp.gamma(k) * mp.gamma(m)
-            )
-            total += coef * mp.hyp1f2(s, 1 + s, 1 + s - o, z)
-        return total
-    # complement: no cancellation, integrand decays like e^(-2 xi t)
-    span = (k + m + 200) / (2 * xx)
-    tail = mp.quad(pdf, [x, x + span, x + 8 * span])
-    return 1 - tail
+        return mp.quad(_mp_kg_pdf(k, m, xx), [0, x])
+    if xx * xx * x * x < 400:
+        return sum(_mp_branches(k, m, xx, x))
+    with mp.workdps(20):
+        lead = max(mp.log10(abs(b)) for b in _mp_branches(k, m, xx, x))
+    with mp.workdps(mp.mp.dps + max(int(mp.ceil(lead)), 0) + 10):
+        total = sum(_mp_branches(k, m, xx, x))
+    return +total
 
 
 def mp_x_saturated(k_a, m_a, xi) -> float:

@@ -119,6 +119,13 @@ class TestMisalignmentStats:
         values = [misalignment_stats(cfg(alpha=a)).b_o for a in (0.02, 0.05, 0.1, 0.2)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize(
+        "field,value", [("alpha", math.inf), ("alpha", math.nan), ("w_o", math.inf), ("phi", math.nan)]
+    )
+    def test_non_finite_input_rejected(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            cfg(**{field: value})
+
     def test_degenerate_jitter(self):
         with pytest.raises(DegenerateJitter):
             misalignment_stats(cfg(sigma_p=0.0))

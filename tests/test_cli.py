@@ -190,6 +190,20 @@ class TestCli:
         assert run_cli(["run", str(bad), "-o", str(tmp_path)]) == 3
         assert "numeric" in capsys.readouterr().err
 
+    def test_failed_self_check_exit_code(self, tmp_path, monkeypatch, capsys):
+        # at -10 dB the misaligned points leave the series' regime, so
+        # op_exact takes the quadrature twin, whose coarse rule is forced
+        # to disagree with the fine one
+        scn = tmp_path / "low_snr.scenario"
+        scn.write_text(MIXED_SIGMA_P_SWEEP.replace("gamma_db = 8.0", "gamma_db = -10.0"))
+        monkeypatch.setattr("ris_outage.cascade._E2E_NODES", (2, 16))
+        out = tmp_path / "out"
+        assert run_cli(["run", str(scn), "-o", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: cdf_Ae2e fixed rule failed its self-check")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (out / "curve.csv").exists()
+
     def test_missing_file_exit_code(self, tmp_path):
         assert run_cli(["run", str(tmp_path / "nope.scenario"), "-o", str(tmp_path)]) == 4
 
@@ -235,6 +249,14 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "selftest passed" in proc.stdout
+
+    def test_import_leaves_out_adaptive_integrator(self):
+        code = "import sys, ris_outage, ris_outage.cli; print('scipy.integrate' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestBundledScenariosComplete:

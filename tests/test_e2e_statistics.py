@@ -9,6 +9,7 @@ from ris_outage import (
     KGParams,
     MCConfig,
     MomentMatchFailure,
+    NoConvergence,
     cdf_A,
     cdf_Ae2e,
     cdf_Ae2e_quadrature,
@@ -421,7 +422,7 @@ class TestFixedRules:
             assert pdf_Ae2e(p, s, x) == pytest.approx(deriv, rel=1e-6), level
 
     @pytest.mark.parametrize("fine", [False, True])
-    def test_failed_self_check_returns_adaptive_result(self, monkeypatch, fine):
+    def test_failed_self_check_raises(self, monkeypatch, fine):
         p = kg_reference(4)
         s = make_stats(0.6, 3.43)
         # a two-node rule on either side cannot agree with the other one
@@ -430,18 +431,12 @@ class TestFixedRules:
         monkeypatch.setattr(cascade, "_E2E_NODES", tuple(nodes))
         for frac in (0.05, 0.3, 1.0):
             x = frac * s.b_o * math.sqrt(p.omega_a)
-            assert not cascade._rules_agree(
-                cascade._cdf_Ae2e_rule(p, s, x, False), cascade._cdf_Ae2e_rule(p, s, x, True)
-            )
-            assert cdf_Ae2e_quadrature(p, s, x) == cascade._cdf_Ae2e_adaptive(p, s, x)
-            assert pdf_Ae2e(p, s, x) == cascade._pdf_Ae2e_adaptive(p, s, x)
+            with pytest.raises(NoConvergence, match="cdf_Ae2e fixed rule .* coarse .* fine"):
+                cdf_Ae2e_quadrature(p, s, x)
+            with pytest.raises(NoConvergence, match="pdf_Ae2e fixed rule .* coarse .* fine"):
+                pdf_Ae2e(p, s, x)
 
-    def test_benchmark_shaped_grid_takes_no_fallback(self, monkeypatch):
-        def fail(*args):
-            raise AssertionError(f"adaptive fallback taken at {args[2]!r}")
-
-        monkeypatch.setattr(cascade, "_cdf_Ae2e_adaptive", fail)
-        monkeypatch.setattr(cascade, "_pdf_Ae2e_adaptive", fail)
+    def test_benchmark_shaped_grid_takes_no_fallback(self):
         def rice(k_db):
             return from_rice(10.0 ** (k_db / 10.0), 20)
 

@@ -8,12 +8,10 @@ import pytest
 
 from conftest import make_stats
 from ris_outage import (
-    bessel_k,
     cdf_Ae2e,
     cdf_Ae2e_quadrature,
     from_nakagami,
     from_rice,
-    gamma,
     hyp1f2,
     moment_match,
     pdf_Ae2e,
@@ -27,8 +25,8 @@ RICE_5DB = 10.0 ** 0.5
 
 class TestExtremeRegimes:
     def test_pdf_concentrated_loss(self):
-        # zeta far beyond the v-form threshold: the loss concentrates at
-        # B_o and the density collapses onto the scaled cascade density
+        # zeta far beyond the shapes of A: the loss concentrates at B_o
+        # and the density collapses onto the scaled cascade density
         from ris_outage import pdf_A
 
         p = moment_match(from_nakagami(1.0), from_rice(RICE_5DB, 20), 4)
@@ -37,9 +35,10 @@ class TestExtremeRegimes:
         direct = float(pdf_A(p, x / s.b_o)) / s.b_o
         assert pdf_Ae2e(p, s, x) == pytest.approx(direct, rel=1e-3)
 
-    def test_pdf_cdf_consistency_large_zeta(self):
+    @pytest.mark.parametrize("zeta", [900.0, 1e4, 1e5])
+    def test_pdf_cdf_consistency_large_zeta(self, zeta):
         p = moment_match(from_nakagami(1.0), from_rice(RICE_5DB, 20), 4)
-        s = make_stats(0.7, 900.0)
+        s = make_stats(0.7, zeta)
         x = 0.5 * math.sqrt(p.omega_a) * s.b_o
         h = 1e-5 * x
         deriv = (
@@ -56,22 +55,6 @@ class TestExtremeRegimes:
         assert vals[0] > 0.0
         assert vals[-1] == pytest.approx(1.0, abs=1e-6)
         assert abs(cdf_Ae2e(p, s, 0.5) - cdf_Ae2e_quadrature(p, s, 0.5)) < 1e-6
-
-    def test_bessel_overflow_guard(self):
-        with pytest.raises(OverflowError):
-            bessel_k(50.0, 1e-6)
-
-    def test_bessel_large_order_against_oracle(self):
-        from conftest import bessel_k_quadrature
-
-        assert bessel_k(50.0, 60.0) == pytest.approx(
-            bessel_k_quadrature(50.0, 60.0), rel=1e-10
-        )
-
-    def test_gamma_near_float_ceiling(self):
-        assert math.isfinite(gamma(171.0))
-        with pytest.raises(OverflowError):
-            gamma(172.0)
 
     def test_hyp1f2_terminating_negative_integer_a(self):
         # a = -3 terminates the series: a degree-3 polynomial in z

@@ -2,117 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import bessel_k_quadrature, mp_hyp1f2_brute
-from ris_outage import (
-    DomainError,
-    NoConvergence,
-    PoleError,
-    SeriesControl,
-    bessel_k,
-    erf,
-    gamma,
-    hyp1f2,
-)
+from conftest import mp_hyp1f2_brute
+from ris_outage import DomainError, NoConvergence, SeriesControl, hyp1f2
 
 # 50-digit references, frozen from an extended-precision evaluation
-GAMMA_3_7 = 4.1706517837966031653936029986179837279404455809898
-ERF_1 = 0.84270079294971486934122063508260925929606699796631
 HYP1F2_CASES = [
     # (a, b1, b2, z, 800-term extended-precision sum)
     (0.7, 1.3, 2.1, 2.5, 1.8674527633548660661055960139386525604287929901039),
     (1.5, 2.5, 0.5, -3.0, -0.70295851041234969694017756055052048372832248964182),
     (0.25, 1.75, 3.25, 10.0, 1.7945639547805116132224963781059765393757814163319),
 ]
-K_HALF_1 = 0.46106850444789455843957587387569458968889718903714  # sqrt(pi/2)/e
-
-
-class TestGamma:
-    def test_factorial_identity(self):
-        assert gamma(5) == pytest.approx(24.0, rel=1e-14)
-
-    def test_half_integer(self):
-        assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-
-    def test_reference_value(self):
-        assert gamma(3.7) == pytest.approx(GAMMA_3_7, rel=1e-12)
-
-    def test_reflection_negative(self):
-        # Gamma(-0.5) = -2 sqrt(pi)
-        assert gamma(-0.5) == pytest.approx(-2.0 * math.sqrt(math.pi), rel=1e-12)
-
-    def test_recurrence_property(self):
-        rng = np.random.default_rng(101)
-        for x in rng.uniform(0.1, 60.0, size=1000):
-            lhs = gamma(x + 1.0)
-            assert abs(lhs - x * gamma(x)) <= 1e-11 * abs(lhs)
-
-    @pytest.mark.parametrize("x", [0, -1, -2, -37])
-    def test_poles(self, x):
-        with pytest.raises(PoleError):
-            gamma(x)
-
-    def test_overflow(self):
-        with pytest.raises(OverflowError):
-            gamma(200.0)
-
-    def test_pure(self):
-        assert gamma(3.7) == gamma(3.7)
-
-
-class TestErf:
-    def test_odd_origin(self):
-        assert erf(0.0) == 0.0
-
-    def test_saturation(self):
-        assert abs(erf(10.0) - 1.0) < 1e-15
-
-    def test_taylor_reference(self):
-        assert erf(1.0) == pytest.approx(ERF_1, rel=1e-12)
-
-    @given(st.floats(-6.0, 6.0))
-    @settings(max_examples=200, deadline=None)
-    def test_odd_and_bounded(self, x):
-        assert erf(-x) == -erf(x)
-        assert abs(erf(x)) <= 1.0
-
-
-class TestBesselK:
-    def test_half_order_closed_form(self):
-        assert bessel_k(0.5, 1.0) == pytest.approx(K_HALF_1, rel=1e-13)
-
-    def test_order_symmetry_bitwise(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            nu = rng.uniform(0.0, 50.0)
-            x = 10.0 ** rng.uniform(-5, 2)
-            assert bessel_k(-nu, x) == bessel_k(nu, x)
-
-    @pytest.mark.parametrize(
-        "nu,x",
-        [(0.0, 1.0), (0.0, 1e-6), (2.3, 0.5), (7.7, 12.0), (0.5, 300.0), (1.0, 700.0)],
-    )
-    def test_against_integral_representation(self, nu, x):
-        ref = bessel_k_quadrature(nu, x)
-        assert bessel_k(nu, x) == pytest.approx(ref, rel=1e-10)
-
-    def test_monotone_decreasing_in_x(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            nu = rng.uniform(0.0, 10.0)
-            x1 = 10.0 ** rng.uniform(-4, 2)
-            x2 = x1 * (1.0 + rng.uniform(0.01, 3.0))
-            assert bessel_k(nu, x1) > bessel_k(nu, x2)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            bessel_k(1.0, 0.0)
-        with pytest.raises(DomainError):
-            bessel_k(1.0, -2.0)
-        with pytest.raises(DomainError):
-            bessel_k(51.0, 1.0)
 
 
 class TestHyp1F2:
