@@ -166,6 +166,11 @@ def misalignment_stats(g: GeometryConfig) -> MisalignmentStats:
     )
 
 
+# largest v = (alpha / w) sqrt(pi / (2 rho)) for which exp(-v^2) is a
+# normal float
+_V_LIMIT = math.sqrt(709.0)
+
+
 def _stats_from_beamwidth(
     w: float,
     rho_l2: float,
@@ -194,6 +199,18 @@ def _stats_from_beamwidth(
 
     v_min = alpha / w * math.sqrt(math.pi / (2.0 * rho_min))
     v_max = alpha / w * math.sqrt(math.pi / (2.0 * rho_max))
+    jitter = 4.0 * sigma_p**2 + 4.0 * d_x**2 * sigma_o**2
+    if jitter == 0.0:
+        raise DegenerateJitter(
+            "4 sigma_p^2 + 4 d_x^2 sigma_o^2 = 0: shape exponent undefined; "
+            "use the no-misalignment path"
+        )
+    # v_min >= v_max; past sqrt(709) the factor exp(-v^2) of k underflows
+    if not v_min <= _V_LIMIT:
+        raise DomainError(
+            f"aperture too large for the beam: v_min = {v_min:.6g} > {_V_LIMIT:.4g} "
+            f"(alpha = {alpha}, w = {w:.6g}), the shape exponent overflows"
+        )
     erf_min, erf_max = float(sc.erf(v_min)), float(sc.erf(v_max))
     b_o = erf_min * erf_max
 
@@ -201,12 +218,6 @@ def _stats_from_beamwidth(
     k_max = math.sqrt(math.pi) * rho_max * erf_max / (2.0 * v_max * math.exp(-v_max**2))
     k_m = 0.5 * (k_min + k_max)
 
-    jitter = 4.0 * sigma_p**2 + 4.0 * d_x**2 * sigma_o**2
-    if jitter == 0.0:
-        raise DegenerateJitter(
-            "4 sigma_p^2 + 4 d_x^2 sigma_o^2 = 0: shape exponent undefined; "
-            "use the no-misalignment path"
-        )
     zeta = k_m * w * w / jitter
     return MisalignmentStats(
         b_o=b_o,

@@ -47,6 +47,12 @@ def _mp_kg_pdf(k, m, xx):
     )
 
 
+def mp_pdf_A(k_a, m_a, xi, x):
+    """50-digit density of the generalized-K law (mpmath besselk)."""
+    k, m, xx = mp.mpf(str(k_a)), mp.mpf(str(m_a)), mp.mpf(str(xi))
+    return _mp_kg_pdf(k, m, xx)(mp.mpf(str(x)))
+
+
 def _mp_branches(k, m, xx, x):
     """The two terms C_s x^(2s) 1F2(s; 1+s, 1+s-o; xi^2 x^2) of the
     expansion of F_A, evaluated at the working precision."""

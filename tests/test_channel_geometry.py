@@ -120,11 +120,35 @@ class TestMisalignmentStats:
         assert all(b > a for a, b in zip(values, values[1:]))
 
     @pytest.mark.parametrize(
-        "field,value", [("alpha", math.inf), ("alpha", math.nan), ("w_o", math.inf), ("phi", math.nan)]
+        "field,value",
+        [
+            ("alpha", math.inf), ("alpha", math.nan), ("w_o", math.inf), ("phi", math.nan),
+            ("l2", math.inf), ("f", -math.inf), ("cn2", math.nan), ("theta", math.inf),
+            ("sigma_p", math.nan), ("sigma_o", math.inf), ("d_x", -math.inf),
+        ],
     )
     def test_non_finite_input_rejected(self, field, value):
         with pytest.raises(DomainError, match=field):
             cfg(**{field: value})
+
+    @pytest.mark.parametrize("alpha", [0.005, 5.0, 60.0, 100.0])
+    def test_chain_against_high_precision_across_apertures(self, alpha):
+        # from erf(v) ~ v to erf(v) = 1 in floats (b_o = 1 from alpha = 60)
+        # and up to v_min = 26.3, just below the limit where exp(-v^2)
+        # underflows
+        g = cfg(alpha=alpha)
+        s = misalignment_stats(g)
+        ref = mp_geometry_chain(g)
+        for name in ("v_min", "v_max", "b_o", "k_min", "k_max", "zeta"):
+            assert getattr(s, name) == pytest.approx(ref[name], rel=1e-10), name
+
+    @pytest.mark.parametrize("alpha", [200.0, 1e200, 1e308])
+    def test_oversized_aperture_rejected(self, alpha):
+        with pytest.raises(DomainError, match="aperture too large"):
+            misalignment_stats(cfg(alpha=alpha))
+        # without jitter the point still takes the aligned path
+        with pytest.raises(DegenerateJitter):
+            misalignment_stats(cfg(alpha=alpha, sigma_p=0.0))
 
     def test_degenerate_jitter(self):
         with pytest.raises(DegenerateJitter):

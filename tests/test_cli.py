@@ -204,6 +204,18 @@ class TestCli:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (out / "curve.csv").exists()
 
+    def test_oversized_aperture_exit_code(self, tmp_path, capsys):
+        # alpha / w so large that exp(-v^2) underflows: one line, exit 3,
+        # no traceback
+        scn = tmp_path / "aperture.scenario"
+        scn.write_text(MIXED_SIGMA_P_SWEEP.replace("alpha = 0.1", "alpha = 200.0"))
+        out = tmp_path / "out"
+        assert run_cli(["run", str(scn), "-o", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: aperture too large for the beam")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (out / "curve.csv").exists()
+
     def test_missing_file_exit_code(self, tmp_path):
         assert run_cli(["run", str(tmp_path / "nope.scenario"), "-o", str(tmp_path)]) == 4
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import make_kg, make_stats, mp_cdf_A, mp_cdf_Ae2e, mp_moment_match
+from conftest import make_kg, make_stats, mp_cdf_A, mp_cdf_Ae2e, mp_moment_match, mp_pdf_A
 from ris_outage import (
     KGParams,
     MCConfig,
@@ -154,6 +154,34 @@ class TestPdfA:
         deriv = (_cdf_A_quadrature(p, x + h) - _cdf_A_quadrature(p, x - h)) / (2 * h)
         assert float(pdf_A(p, x)) == pytest.approx(deriv, rel=1e-5)
 
+    @pytest.mark.parametrize(
+        "k_a,m_a,y",
+        [
+            # scaled Bessel K_(k_a - m_a)(y) overflows: quadrature route
+            (60.6, 0.6, 1e-5),
+            (50.3, 0.3, 1e-8),
+            (100.7, 2.2, 1e-2),
+            # order 50 at y = 60: finite, Bessel route
+            (50.5, 0.5, 60.0),
+        ],
+    )
+    def test_large_order_against_mp_reference(self, k_a, m_a, y):
+        p = make_kg(k_a, m_a)
+        x = y / (2.0 * p.xi)
+        ref = float(mp_pdf_A(k_a, m_a, p.xi, x))
+        assert float(pdf_A(p, x)) == pytest.approx(ref, rel=1e-11)
+
+    @pytest.mark.parametrize("k_a,m_a", [(171.0, 25.9), (172.4, 30.3), (250.7, 40.1)])
+    def test_shapes_past_float_gamma(self, k_a, m_a):
+        # Gamma(k_a) overflows a float from k_a = 171.7 on; the
+        # normalisation is assembled from log-gammas
+        p = make_kg(k_a, m_a)
+        for x in (0.8, 1.0, 1.1):
+            ref_pdf = float(mp_pdf_A(k_a, m_a, p.xi, x))
+            ref_cdf = float(mp_cdf_A(k_a, m_a, p.xi, x))
+            assert float(pdf_A(p, x)) == pytest.approx(ref_pdf, rel=1e-11), x
+            assert cdf_A(p, x) == pytest.approx(ref_cdf, rel=1e-11), x
+
     def test_matches_mc_histogram(self):
         d1, d2 = from_nakagami(1.0), from_rice(RICE_5DB, 20)
         p = moment_match(d1, d2, 16)
@@ -273,6 +301,28 @@ class TestCdfAe2e:
         assert cdf_Ae2e_quadrature(p, s, x) == pytest.approx(
             cdf_A(p, x / s.b_o), abs=1e-4
         )
+
+    @pytest.mark.parametrize("zeta", [1e3, 1e4, 1e5])
+    def test_quadrature_large_zeta_against_mp_reference(self, zeta):
+        p = kg_reference(4)
+        s = make_stats(0.7, zeta)
+        for frac in (0.1, 0.5):
+            x = frac * math.sqrt(p.omega_a) * s.b_o
+            ref = float(mp_cdf_Ae2e(p.k_a, p.m_a, p.xi, s.b_o, s.zeta, x))
+            assert cdf_Ae2e_quadrature(p, s, x) == pytest.approx(ref, rel=1e-9), frac
+
+    def test_quadrature_approaches_concentration_limit_from_above(self):
+        # h_g <= B_o, so F(x) >= F_A(x / B_o), with a gap that closes as
+        # the loss concentrates at B_o
+        p = kg_reference(4)
+        for frac in (0.1, 0.5):
+            x = frac * math.sqrt(p.omega_a) * 0.7
+            limit = cdf_A(p, x / 0.7)
+            gaps = [
+                cdf_Ae2e_quadrature(p, make_stats(0.7, zeta), x) / limit - 1.0
+                for zeta in (1e3, 1e4, 1e5)
+            ]
+            assert 0.0 < gaps[2] < gaps[1] < gaps[0], frac
 
     def test_monotone(self):
         p = kg_reference(4)
@@ -435,6 +485,39 @@ class TestFixedRules:
                 cdf_Ae2e_quadrature(p, s, x)
             with pytest.raises(NoConvergence, match="pdf_Ae2e fixed rule .* coarse .* fine"):
                 pdf_Ae2e(p, s, x)
+
+    @pytest.mark.parametrize("fine", [False, True])
+    def test_cdf_A_failed_self_check_raises(self, monkeypatch, fine):
+        # k_a = m_a = 1 routes F_A to the fixed rule; one inner panel over
+        # the whole range on either side cannot agree with the other rule
+        p = kg_double_rayleigh()
+        per_log = cascade._panels_per_log
+        monkeypatch.setattr(
+            cascade, "_panels_per_log", lambda q, f: 1e-3 if f == fine else per_log(q, f)
+        )
+        for x in (0.05, 0.5):
+            with pytest.raises(NoConvergence, match="cdf_A fixed rule .* coarse .* fine"):
+                cdf_A(p, x)
+
+    def test_self_check_returns_fine_value(self):
+        rule = {False: 0.25 * (1.0 + 5e-10), True: 0.25}.get
+        assert cascade._self_checked("r", 1.0, rule, rel=1e-9) == 0.25
+
+    def test_self_check_absolute_floor(self):
+        # near F = 0 the bound is 1e-13 absolute, not relative
+        rule = {False: 9e-14, True: 1e-20}.get
+        assert cascade._self_checked("r", 1.0, rule, rel=1e-9) == 1e-20
+        rule = {False: 2e-13, True: 1e-20}.get
+        with pytest.raises(NoConvergence):
+            cascade._self_checked("r", 1.0, rule, rel=1e-9)
+
+    def test_self_check_message_names_route_and_values(self):
+        rule = {False: 0.5, True: 0.25}.get
+        with pytest.raises(NoConvergence) as info:
+            cascade._self_checked("pdf_Ae2e", 0.125, rule, rel=1e-9)
+        assert str(info.value) == (
+            "pdf_Ae2e fixed rule failed its self-check at x=0.125: coarse 0.5, fine 0.25"
+        )
 
     def test_benchmark_shaped_grid_takes_no_fallback(self):
         def rice(k_db):
