@@ -27,7 +27,6 @@ from .errors import (
     MomentMatchFailure,
     NoConvergence,
     OverflowGuard,
-    PoleError,
     RisOutageError,
 )
 from .fading import (
@@ -63,7 +62,7 @@ from .outage import (
     op_floor,
 )
 from .scenario import ScenarioFile, SweepSpec, load_scenario, parse_scenario
-from .special import SeriesControl, hyp1f2
+from .special import hyp1f2
 from .sweep import SweepRow, derived_report, evaluate_sweep
 
 __version__ = "0.1.0"
@@ -86,7 +85,6 @@ __all__ = [
     "MomentMatchFailure",
     "NoConvergence",
     "OverflowGuard",
-    "PoleError",
     "RisOutageError",
     "MGDistribution",
     "envelope_moment",
@@ -122,7 +120,6 @@ __all__ = [
     "SweepSpec",
     "load_scenario",
     "parse_scenario",
-    "SeriesControl",
     "hyp1f2",
     "SweepRow",
     "derived_report",

@@ -1,7 +1,9 @@
 """Statistics of the RIS cascade sum A = sum_i |h_i||g_i| and of the
 end-to-end gain A_e2e = h_g * A.
 
-A is moment-matched (orders 2, 4, 6) to a generalized-K law; its CDF and
+A is moment-matched (orders 2, 4, 6) to a generalized-K law.  Its density
+is the closed form, with K_(k_a-m_a) from scipy's scaled Bessel function
+or, where that overflows, from the Bessel recurrence.  The CDF of A and
 the CDF of A_e2e each have two independent evaluation routes: a
 hypergeometric series expansion and direct quadrature.  The series are
 fast and precise in the deep lower tail; the quadrature is a fixed
@@ -23,7 +25,7 @@ import scipy.special as sc
 from .errors import DomainError, MomentMatchFailure, NoConvergence
 from .fading import MGDistribution, product_moment
 from .geometry import MisalignmentStats
-from .special import DEFAULT_SERIES_CONTROL, SeriesControl, _hyp1f2_diag
+from .special import _hyp1f2_diag
 
 __all__ = [
     "KGParams",
@@ -317,9 +319,7 @@ def _series_result(
     return sign_total, log_total, math.exp(min(log_peak - log_total, 700.0))
 
 
-def _log_cdf_A_series(
-    p: KGParams, x: float, ctl: SeriesControl = DEFAULT_SERIES_CONTROL
-) -> tuple[float, float, float]:
+def _log_cdf_A_series(p: KGParams, x: float) -> tuple[float, float, float]:
     """Two-branch series for F_A in log space,
       F_A(x) = sum_s C_s x^(2s) 1F2(s; 1+s, 1+s-o; xi^2 x^2),
     with C_s from _expansion_terms.  Returns (sign, log|F|, cond) where
@@ -330,7 +330,7 @@ def _log_cdf_A_series(
     contributions: list[tuple[float, float]] = []
     log_peak = -math.inf
     for s, o, sign_c, lc in branches:
-        f2, peak = _hyp1f2_diag(s, 1.0 + s, 1.0 + s - o, z, ctl)
+        f2, peak = _hyp1f2_diag(s, 1.0 + s, 1.0 + s - o, z)
         if f2 != 0.0:
             contributions.append(
                 (sign_c * math.copysign(1.0, f2), lc + math.log(abs(f2)))
@@ -415,58 +415,63 @@ def pdf_A(p: KGParams, x) -> np.ndarray | float:
     """Density of the surrogate,
     4 xi^(k+m) / (Gamma(k) Gamma(m)) x^(k+m-1) K_(k-m)(2 xi x).
 
-    Assembled in log space through the scaled Bessel function; parameter
-    corners that overflow the Bessel evaluation fall back to quadrature of
-    the Gamma-mixture representation.
+    Assembled in log space through the scaled Bessel function
+    kve(v, y) = K_v(y) e^y; where kve overflows (large order, small
+    argument) the same closed form comes from _log_power_bessel.
     """
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr <= 0):
         raise DomainError("pdf_A requires x > 0")
-    y = 2.0 * p.xi * x_arr
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        kve = sc.kve(p.k_a - p.m_a, y)
+    x1 = np.atleast_1d(x_arr)
+    y = 2.0 * p.xi * x1
+    log_norm = (
+        math.log(4.0)
+        + (p.k_a + p.m_a) * math.log(p.xi)
+        - sc.gammaln(p.k_a)
+        - sc.gammaln(p.m_a)
+    )
+    with np.errstate(over="ignore", divide="ignore"):
         log_pdf = (
-            math.log(4.0)
-            + (p.k_a + p.m_a) * math.log(p.xi)
-            - sc.gammaln(p.k_a)
-            - sc.gammaln(p.m_a)
-            + (p.k_a + p.m_a - 1.0) * np.log(x_arr)
-            + np.log(kve)
+            log_norm
+            + (p.k_a + p.m_a - 1.0) * np.log(x1)
+            + np.log(sc.kve(p.k_a - p.m_a, y))
             - y
         )
-        out = np.exp(log_pdf)
-    bad = ~np.isfinite(out)
-    if np.any(bad):
-        out = np.array(out, ndmin=1)
-        flat_bad = np.atleast_1d(bad)
-        out[flat_bad] = _pdf_A_quadrature(p, np.atleast_1d(x_arr)[flat_bad])
-        out = out.reshape(np.shape(bad))
+    over = ~np.isfinite(log_pdf)
+    if np.any(over):
+        log_pdf[over] = log_norm + _log_power_bessel(p, x1[over])
+    out = np.exp(log_pdf).reshape(x_arr.shape)
     return out if out.ndim else float(out)
 
 
-def _pdf_A_quadrature(p: KGParams, x: np.ndarray) -> np.ndarray:
-    """f_A(x) = E_V[ gamma-density(k, s/V) * 2 xi^2 x / V ], V ~ Gamma(m),
-    at every abscissa of x."""
-    s = (p.xi * x) ** 2
-    d = p.k_a - p.m_a
-    # stationary point of the log, the positive root of v^2 + d v - s,
-    # in the form that does not cancel to 0 at small s
-    root = np.sqrt(d * d + 4.0 * s)
-    v_star = 2.0 * s / (d + root) if d > 0.0 else 0.5 * (root - d)
-    lo = np.minimum(s / sc.gammainccinv(p.k_a, 1e-20), v_star) / 8.0
-    hi = np.maximum(sc.gammainccinv(p.m_a, 1e-20), v_star * 8.0)
-    v, w, row = _panels(lo, hi, 48)
-    log_f = (
-        (p.m_a - 1.0) * np.log(v)
-        - v
-        - sc.gammaln(p.m_a)
-        + (p.k_a - 1.0) * (np.log(s[row]) - np.log(v))
-        - s[row] / v
-        - sc.gammaln(p.k_a)
-        + np.log(2.0 * p.xi**2 * x[row])
-        - np.log(v)
+def _log_power_bessel(p: KGParams, x: np.ndarray) -> np.ndarray:
+    """log(x^(k+m-1) K_nu(2 xi x)), nu = |k_a - m_a|, without overflow.
+
+    Forward recurrence K_(v+1) = K_(v-1) + (2v/y) K_v (DLMF 10.29.1)
+    from mu = frac(nu), where K_(mu-1) = K_(1-mu), run on the ratios
+    s = y K_(v+1) / K_v = y K_(v-1) / K_v + 2v.  K_nu is the dominant
+    solution, so the forward direction is stable, and every step adds
+    positive terms.  The y^n of the n = floor(nu) steps is merged with
+    x^(k+m-1) as x^(2 min(k, m) - 1 + mu) / (2 xi)^n; written through mu,
+    the exponent follows the rounded order, where k + m - 1 - n would be
+    off by the rounding of k - m times |log x|.
+    """
+    nu = abs(p.k_a - p.m_a)
+    n = math.floor(nu)
+    mu = nu - n
+    y = 2.0 * p.xi * x
+    k_mu = sc.kve(mu, y)
+    out = (
+        np.log(k_mu) - y
+        + (2.0 * min(p.k_a, p.m_a) - 1.0 + mu) * np.log(x)
+        - n * math.log(2.0 * p.xi)
     )
-    return np.bincount(row, weights=w * np.exp(log_f), minlength=x.size)
+    q = y * sc.kve(1.0 - mu, y) / k_mu  # y K_(mu-1) / K_mu
+    for v in mu + np.arange(n):
+        s = q + 2.0 * v  # y K_(v+1) / K_v
+        out += np.log(s)
+        q = y * y / s
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -475,10 +480,7 @@ def _pdf_A_quadrature(p: KGParams, x: np.ndarray) -> np.ndarray:
 
 
 def _cdf_Ae2e_series(
-    p: KGParams,
-    s: MisalignmentStats,
-    x: float,
-    ctl: SeriesControl = DEFAULT_SERIES_CONTROL,
+    p: KGParams, s: MisalignmentStats, x: float
 ) -> tuple[float, float, float]:
     """Five-term series for F_{A_e2e} in log space -> (sign, log|F|, cond).
 
@@ -500,9 +502,9 @@ def _cdf_Ae2e_series(
     contributions = [t0]
     log_peak = t0[1]
     for sb, ob, sign_c, lc in branches:
-        f_main, pk_main = _hyp1f2_diag(sb, 1.0 + sb, 1.0 + sb - ob, w, ctl)
+        f_main, pk_main = _hyp1f2_diag(sb, 1.0 + sb, 1.0 + sb - ob, w)
         f_shift, pk_shift = _hyp1f2_diag(
-            sb - zeta / 2.0, 1.0 + sb - ob, 1.0 + sb - zeta / 2.0, w, ctl
+            sb - zeta / 2.0, 1.0 + sb - ob, 1.0 + sb - zeta / 2.0, w
         )
         ratio = 2.0 * sb / (2.0 * sb - zeta)
         combined = f_main - ratio * f_shift

@@ -14,10 +14,6 @@ class DomainError(RisOutageError, ValueError):
     """An argument lies outside the mathematical domain of the operation."""
 
 
-class PoleError(DomainError):
-    """The gamma function was evaluated at a non-positive integer."""
-
-
 class NoConvergence(RisOutageError, RuntimeError):
     """A series or quadrature failed to reach its accuracy target."""
 

@@ -146,6 +146,11 @@ def beamwidth(g: GeometryConfig) -> float:
     return g.w_o * math.sqrt(1.0 + (1.0 + turb) * spread**2)
 
 
+# largest v = (alpha / w) sqrt(pi / (2 rho)) for which exp(-v^2) is a
+# normal float
+_V_LIMIT = math.sqrt(709.0)
+
+
 def misalignment_stats(g: GeometryConfig) -> MisalignmentStats:
     """Full deterministic chain from geometry to (B_o, zeta).
 
@@ -154,36 +159,7 @@ def misalignment_stats(g: GeometryConfig) -> MisalignmentStats:
     """
     w = beamwidth(g)
     rho_l2 = coherence_length(g) if g.cn2 > 0 else math.inf
-    return _stats_from_beamwidth(
-        w,
-        rho_l2,
-        alpha=g.alpha,
-        theta=g.theta,
-        phi=g.phi,
-        sigma_p=g.sigma_p,
-        sigma_o=g.sigma_o,
-        d_x=g.d_x,
-    )
-
-
-# largest v = (alpha / w) sqrt(pi / (2 rho)) for which exp(-v^2) is a
-# normal float
-_V_LIMIT = math.sqrt(709.0)
-
-
-def _stats_from_beamwidth(
-    w: float,
-    rho_l2: float,
-    *,
-    alpha: float,
-    theta: float,
-    phi: float,
-    sigma_p: float,
-    sigma_o: float,
-    d_x: float,
-) -> MisalignmentStats:
-    """Footprint statistics for a given beamwidth (the beam-propagation and
-    footprint stages are separable; tests exercise this directly)."""
+    theta, phi = g.theta, g.phi
     rho_y = math.cos(phi) ** 2 + math.sin(phi) ** 2 * math.cos(theta) ** 2
     rho_z = math.sin(phi) ** 2
     rho_yz = -math.cos(phi) * math.sin(phi) * math.sin(theta)
@@ -197,9 +173,9 @@ def _stats_from_beamwidth(
     rho_min = 2.0 / (rho_y + rho_z + disc)
     rho_max = 2.0 / denom_max
 
-    v_min = alpha / w * math.sqrt(math.pi / (2.0 * rho_min))
-    v_max = alpha / w * math.sqrt(math.pi / (2.0 * rho_max))
-    jitter = 4.0 * sigma_p**2 + 4.0 * d_x**2 * sigma_o**2
+    v_min = g.alpha / w * math.sqrt(math.pi / (2.0 * rho_min))
+    v_max = g.alpha / w * math.sqrt(math.pi / (2.0 * rho_max))
+    jitter = 4.0 * g.sigma_p**2 + 4.0 * g.d_x**2 * g.sigma_o**2
     if jitter == 0.0:
         raise DegenerateJitter(
             "4 sigma_p^2 + 4 d_x^2 sigma_o^2 = 0: shape exponent undefined; "
@@ -209,7 +185,7 @@ def _stats_from_beamwidth(
     if not v_min <= _V_LIMIT:
         raise DomainError(
             f"aperture too large for the beam: v_min = {v_min:.6g} > {_V_LIMIT:.4g} "
-            f"(alpha = {alpha}, w = {w:.6g}), the shape exponent overflows"
+            f"(alpha = {g.alpha}, w = {w:.6g}), the shape exponent overflows"
         )
     erf_min, erf_max = float(sc.erf(v_min)), float(sc.erf(v_max))
     b_o = erf_min * erf_max

@@ -20,13 +20,14 @@ Example::
     sweep { variable = gamma_over_gamma_th_db  start = -10  stop = 10  points = 21 }
     mc { samples = 1000000  seed = 42 }
 
-Multiple `key = value` pairs may share a line inside `{ ... }`.
+Multiple `key = value` pairs may share a line inside `{ ... }`.  A block
+or key that is not part of the format is a parse error.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError
 from .fading import MGDistribution, from_nakagami, from_rice
@@ -87,7 +88,27 @@ class ScenarioFile:
     mc: MCConfig | None = None
     gamma: float | None = None      # linear; required unless sweeping the ratio
     gamma_th: float = 1.0           # linear
-    raw: dict = field(default_factory=dict, repr=False, compare=False)
+
+
+# the keys of each block, by dotted path; the keys of a hop depend on its
+# kind (_HOP_KEYS), and a block holds only the blocks listed below it
+_BLOCK_KEYS = {
+    "fading": (),
+    "fading.hop1": None,
+    "fading.hop2": None,
+    "ris": ("n_elements",),
+    "hardware": ("kappa_s", "kappa_d"),
+    "sweep": ("variable", "start", "stop", "points"),
+    "geometry": (
+        "l2", "w_o", "f", "cn2", "alpha", "theta", "phi", "sigma_p", "sigma_o", "d_x"
+    ),
+    "mc": ("samples", "seed", "chunk_size", "workers"),
+    "link": ("gamma_db", "gamma_th_db", "gamma_th"),
+}
+_HOP_KEYS = {
+    "nakagami": ("kind", "m", "omega"),
+    "rice": ("kind", "k_r_db", "n_terms"),
+}
 
 
 def _tokenize(text: str):
@@ -118,6 +139,7 @@ def _tokenize(text: str):
 def _parse_blocks(text: str) -> dict:
     root: dict = {}
     stack: list[dict] = [root]
+    paths: list[str] = [""]
     pending_name: str | None = None
     pending_line = 0
     for lineno, (kind, a, b) in _tokenize(text):
@@ -130,11 +152,17 @@ def _parse_blocks(text: str) -> dict:
         elif kind == "open":
             if pending_name is None:
                 raise ScenarioParseError("'{' without a block name", lineno)
+            path = _join(paths[-1], pending_name)
+            if path not in _BLOCK_KEYS:
+                raise ScenarioParseError(
+                    f"unknown block '{pending_name}'", lineno, field_name=path
+                )
             new: dict = {}
             if pending_name in stack[-1]:
                 raise ScenarioParseError(f"duplicate block '{pending_name}'", lineno)
             stack[-1][pending_name] = new
             stack.append(new)
+            paths.append(path)
             pending_name = None
         elif kind == "close":
             if pending_name is not None:
@@ -144,17 +172,31 @@ def _parse_blocks(text: str) -> dict:
             if len(stack) == 1:
                 raise ScenarioParseError("unmatched '}'", lineno)
             stack.pop()
+            paths.pop()
         else:  # pair
             if pending_name is not None:
                 raise ScenarioParseError(
                     f"dangling block name '{pending_name}'", pending_line
                 )
+            keys = _BLOCK_KEYS.get(paths[-1], ())
+            if keys is not None and a not in keys:
+                raise _bad_key("unknown", paths[-1], a, lineno)
+            if a in stack[-1]:
+                raise _bad_key("duplicate", paths[-1], a, lineno)
             stack[-1][a] = (b, lineno)
     if pending_name is not None:
         raise ScenarioParseError(f"dangling block name '{pending_name}'", pending_line)
     if len(stack) != 1:
         raise ScenarioParseError("unclosed block at end of file")
     return root
+
+
+def _join(path: str, name: str) -> str:
+    return f"{path}.{name}" if path else name
+
+
+def _bad_key(what: str, path: str, key: str, lineno: int) -> ScenarioParseError:
+    return ScenarioParseError(f"{what} key '{key}'", lineno, field_name=_join(path, key))
 
 
 _MISSING = object()
@@ -189,32 +231,33 @@ def _to_int(v: str) -> int:
 
 
 def _build_hop(block: dict, name: str) -> MGDistribution:
-    if not isinstance(block, dict):
-        raise ScenarioParseError("hop definition must be a block", field_name=name)
     kind = _get_scalar(block, "kind", str)
+    if kind not in _HOP_KEYS:
+        raise ScenarioParseError(
+            f"unknown fading kind {kind!r} (expected nakagami or rice)", field_name=name
+        )
+    for key, (_, lineno) in block.items():
+        if key not in _HOP_KEYS[kind]:
+            raise _bad_key("unknown", name, key, lineno)
     if kind == "nakagami":
         m = _get_scalar(block, "m", _to_float)
         omega = _get_scalar(block, "omega", _to_float, default=1.0)
         return from_nakagami(m, omega)
-    if kind == "rice":
-        k_r_db = _get_scalar(block, "k_r_db", _to_float)
-        n_terms = _get_scalar(block, "n_terms", _to_int, default=20)
-        return from_rice(10.0 ** (k_r_db / 10.0), n_terms)
-    raise ScenarioParseError(
-        f"unknown fading kind {kind!r} (expected nakagami or rice)", field_name=name
-    )
+    k_r_db = _get_scalar(block, "k_r_db", _to_float)
+    n_terms = _get_scalar(block, "n_terms", _to_int, default=20)
+    return from_rice(10.0 ** (k_r_db / 10.0), n_terms)
 
 
 def parse_scenario(text: str) -> ScenarioFile:
     root = _parse_blocks(text)
 
     for required in ("fading", "ris", "hardware", "sweep"):
-        if required not in root or not isinstance(root[required], dict):
+        if required not in root:
             raise ScenarioParseError("missing required block", field_name=required)
 
     fading = root["fading"]
     for hop in ("hop1", "hop2"):
-        if hop not in fading or not isinstance(fading[hop], dict):
+        if hop not in fading:
             raise ScenarioParseError("missing hop block", field_name=f"fading.{hop}")
     hop1 = _build_hop(fading["hop1"], "fading.hop1")
     hop2 = _build_hop(fading["hop2"], "fading.hop2")
@@ -306,7 +349,6 @@ def parse_scenario(text: str) -> ScenarioFile:
         mc=mc,
         gamma=gamma,
         gamma_th=gamma_th,
-        raw=root,
     )
 
 

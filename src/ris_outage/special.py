@@ -1,70 +1,43 @@
 """The generalized hypergeometric 1F2 of the closed-form channel statistics.
 
 ``hyp1f2`` is implemented directly as a compensated power series because
-scipy has no 1F2 and the truncation policy must be explicit; the other
-special functions come from scipy.special at their call sites.
+scipy has no 1F2; its truncation policy is the fixed pair _REL_TOL and
+_MAX_TERMS.  The other special functions come from scipy.special at their
+call sites.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, NoConvergence
 
-__all__ = ["SeriesControl", "hyp1f2"]
+__all__ = ["hyp1f2"]
 
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for hypergeometric power series.
-
-    rel_tol is the relative size below which a term counts as converged;
-    max_terms caps the series length before NoConvergence is raised.
-    """
-
-    rel_tol: float = 1e-12
-    max_terms: int = 10_000
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol <= 1e-3):
-            raise DomainError(f"rel_tol must be in (0, 1e-3], got {self.rel_tol}")
-        if self.max_terms < 64:
-            raise DomainError(f"max_terms must be >= 64, got {self.max_terms}")
-
-
-DEFAULT_SERIES_CONTROL = SeriesControl()
+# a term below this fraction of the partial sum counts as converged
+_REL_TOL = 1e-12
+# series length at which NoConvergence is raised
+_MAX_TERMS = 10_000
 
 
 def _is_nonpositive_integer(x: float, tol: float = 1e-9) -> bool:
     return x <= tol and abs(x - round(x)) < tol
 
 
-def hyp1f2(
-    a: float,
-    b1: float,
-    b2: float,
-    z: float,
-    ctl: SeriesControl = DEFAULT_SERIES_CONTROL,
-) -> float:
+def hyp1f2(a: float, b1: float, b2: float, z: float) -> float:
     """Generalized hypergeometric 1F2(a; b1, b2; z) by direct summation.
 
     Terms follow the ratio recurrence t_{n+1} = t_n (a+n) z /
     ((b1+n)(b2+n)(n+1)) under compensated (Kahan) summation; the series
-    stops once three consecutive terms fall below rel_tol times the
-    partial sum.
+    stops once three consecutive terms fall below _REL_TOL times the
+    partial sum.  NoConvergence is raised at the first term or partial
+    sum that overflows, or after _MAX_TERMS terms.
     """
-    value, _ = _hyp1f2_diag(a, b1, b2, z, ctl)
+    value, _ = _hyp1f2_diag(a, b1, b2, z)
     return value
 
 
-def _hyp1f2_diag(
-    a: float,
-    b1: float,
-    b2: float,
-    z: float,
-    ctl: SeriesControl = DEFAULT_SERIES_CONTROL,
-) -> tuple[float, float]:
+def _hyp1f2_diag(a: float, b1: float, b2: float, z: float) -> tuple[float, float]:
     """hyp1f2 plus a cancellation diagnostic.
 
     Returns (value, peak) where peak is the largest intermediate magnitude
@@ -85,7 +58,7 @@ def _hyp1f2_diag(
     term = 1.0
     peak = 1.0
     ok_streak = 0
-    for n in range(ctl.max_terms):
+    for n in range(_MAX_TERMS):
         term *= (a + n) * z / ((b1 + n) * (b2 + n) * (n + 1))
         y = term - comp
         t = total + y
@@ -93,13 +66,19 @@ def _hyp1f2_diag(
         total = t
         mag = max(abs(term), abs(total))
         if mag > peak:
+            # the first infinite term or partial sum sets a new peak before
+            # anything can turn to NaN
+            if mag == math.inf:
+                raise NoConvergence(
+                    f"hyp1f2({a}, {b1}, {b2}, {z}) overflows at term {n + 1}"
+                )
             peak = mag
-        if abs(term) < ctl.rel_tol * abs(total):
+        if abs(term) < _REL_TOL * abs(total):
             ok_streak += 1
             if ok_streak >= 3:
                 return total, peak
         else:
             ok_streak = 0
     raise NoConvergence(
-        f"hyp1f2({a}, {b1}, {b2}, {z}) did not converge in {ctl.max_terms} terms"
+        f"hyp1f2({a}, {b1}, {b2}, {z}) did not converge in {_MAX_TERMS} terms"
     )

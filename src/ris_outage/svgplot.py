@@ -35,10 +35,9 @@ def render_log_plot(
     series: list[tuple[str, list[float | None]]],
     *,
     x_label: str,
-    y_label: str = "outage probability",
-    title: str = "",
 ) -> str:
-    """Return an SVG document plotting the series on a log-10 y axis.
+    """Return an SVG document plotting the series, outage probabilities,
+    on a log-10 y axis.
 
     None entries and non-positive values are skipped (lines break there).
     """
@@ -74,10 +73,6 @@ def render_log_plot(
         f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" '
         f'height="{_H - _MT - _MB}" fill="none" stroke="black"/>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{_W / 2:.1f}" y="18" text-anchor="middle">{title}</text>'
-        )
     # y grid: decades
     dec = int(math.log10(y_lo))
     while dec <= math.log10(y_hi) + 1e-9:
@@ -104,7 +99,7 @@ def render_log_plot(
     )
     parts.append(
         f'<text x="16" y="{(_MT + _H - _MB) / 2:.1f}" text-anchor="middle" '
-        f'transform="rotate(-90 16 {(_MT + _H - _MB) / 2:.1f})">{y_label}</text>'
+        f'transform="rotate(-90 16 {(_MT + _H - _MB) / 2:.1f})">outage probability</text>'
     )
     for i, (name, data) in enumerate(series):
         color = _COLORS[i % len(_COLORS)]

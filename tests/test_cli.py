@@ -72,6 +72,33 @@ class TestParser:
         with pytest.raises(ScenarioParseError, match="gamma_db"):
             parse_scenario(bad)
 
+    @pytest.mark.parametrize(
+        "old,new,match",
+        [
+            ("kappa_d = 0.0", "kappa_d = 0.0  n_elements = 4",
+             r"unknown key 'n_elements' \(line 7, field 'hardware.n_elements'\)"),
+            ("m = 1.0", "m = 1.0  n_terms = 20",
+             r"unknown key 'n_terms' \(line 3, field 'fading.hop1.n_terms'\)"),
+            ("ris {", "n_elements = 4\nris {",
+             r"unknown key 'n_elements' \(line 6, field 'n_elements'\)"),
+            ("ris {", "links { gamma_db = 5 }\nris {",
+             r"unknown block 'links' \(line 6, field 'links'\)"),
+            ("n_elements = 4", "n_elements = 4  mc { seed = 1 }",
+             r"unknown block 'mc' \(line 6, field 'ris.mc'\)"),
+        ],
+        ids=["other_block_key", "other_hop_kind_key", "top_level_key",
+             "unknown_block", "nested_block"],
+    )
+    def test_unknown_block_or_key(self, old, new, match):
+        with pytest.raises(ScenarioParseError, match=match):
+            parse_scenario(MINIMAL.replace(old, new, 1))
+
+    def test_duplicate_key(self):
+        bad = MINIMAL.replace("n_elements = 4", "n_elements = 4  n_elements = 16")
+        match = r"duplicate key 'n_elements' \(line 6, field 'ris.n_elements'\)"
+        with pytest.raises(ScenarioParseError, match=match):
+            parse_scenario(bad)
+
 
 class TestSweepEngine:
     def test_rows_and_header_shape(self):
@@ -178,6 +205,17 @@ class TestCli:
         assert run_cli(["run", str(bad), "-o", str(out)]) == 2
         assert not (out / "curve.csv").exists()
         assert "points" in capsys.readouterr().err
+
+    def test_misspelled_key_exit_code(self, tmp_path, capsys):
+        # 'sigma_0' for 'sigma_o' must not run with the default sigma_o = 0
+        scn = tmp_path / "typo.scenario"
+        scn.write_text(MIXED_SIGMA_P_SWEEP.replace("sigma_o = 0.0", "sigma_0 = 0.1"))
+        out = tmp_path / "out"
+        assert run_cli(["run", str(scn), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown key 'sigma_0' (line 10, field 'geometry.sigma_0')" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (out / "curve.csv").exists()
 
     def test_numeric_error_exit_code(self, tmp_path, capsys):
         text = MINIMAL.replace(

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -144,9 +145,9 @@ class TestPdfA:
         assert val == pytest.approx(p.omega_a, rel=1e-6)
 
     def test_extreme_shape_fallback(self):
-        # N=16 with a strong line-of-sight hop pushes k_a far beyond the
-        # Bessel-order comfort zone; the quadrature fallback must agree
-        # with finite differences of the quadrature CDF
+        # N=16 with a strong line-of-sight hop pushes k_a - m_a past 140;
+        # the density must agree with finite differences of the
+        # quadrature CDF
         p = moment_match(from_nakagami(5.0), from_rice(RICE_5DB, 20), 16)
         assert p.k_a > 100.0
         x = math.sqrt(p.omega_a)
@@ -157,7 +158,7 @@ class TestPdfA:
     @pytest.mark.parametrize(
         "k_a,m_a,y",
         [
-            # scaled Bessel K_(k_a - m_a)(y) overflows: quadrature route
+            # scaled Bessel K_(k_a - m_a)(y) overflows: recurrence route
             (60.6, 0.6, 1e-5),
             (50.3, 0.3, 1e-8),
             (100.7, 2.2, 1e-2),
@@ -169,7 +170,20 @@ class TestPdfA:
         p = make_kg(k_a, m_a)
         x = y / (2.0 * p.xi)
         ref = float(mp_pdf_A(k_a, m_a, p.xi, x))
-        assert float(pdf_A(p, x)) == pytest.approx(ref, rel=1e-11)
+        assert float(pdf_A(p, x)) == pytest.approx(ref, rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("y", [1e-30, 1e-100, 1e-200])
+    @pytest.mark.parametrize("k_a,m_a", [(60.6, 0.6), (100.7, 2.2), (8.3, 0.55)])
+    def test_deep_tail_against_mp_reference(self, k_a, m_a, y):
+        # y = 2 xi x far below the overflow of the scaled Bessel function,
+        # where the density comes from the Bessel recurrence
+        p = make_kg(k_a, m_a)
+        x = y / (2.0 * p.xi)
+        ref = mp_pdf_A(k_a, m_a, p.xi, x)
+        if ref < sys.float_info.min:  # the density underflows a float
+            assert float(pdf_A(p, x)) <= sys.float_info.min
+        else:
+            assert float(pdf_A(p, x)) == pytest.approx(float(ref), rel=1e-11, abs=0.0)
 
     @pytest.mark.parametrize("k_a,m_a", [(171.0, 25.9), (172.4, 30.3), (250.7, 40.1)])
     def test_shapes_past_float_gamma(self, k_a, m_a):
@@ -236,7 +250,7 @@ class TestCdfA:
             for x in xs:
                 ref = float(mp_cdf_A(p.k_a, p.m_a, p.xi, x))
                 got = cdf_A(p, x)
-                assert got == pytest.approx(ref, rel=1e-8), (p.k_a, p.m_a, x)
+                assert got == pytest.approx(ref, rel=1e-8, abs=0.0), (p.k_a, p.m_a, x)
 
     def test_monotone(self):
         p = kg_reference(4)
@@ -403,6 +417,16 @@ class TestPdfAe2e:
             deriv = (cdf_Ae2e(p, s, x + h) - cdf_Ae2e(p, s, x - h)) / (2.0 * h)
             assert deriv == pytest.approx(pdf_Ae2e(p, s, float(x)), rel=1e-5)
 
+    def test_deep_tail_power_law(self):
+        # far below the knee of A, f(x) -> zeta x^(zeta-1) E[(B_o A)^-zeta]
+        # (finite for zeta < 2 m_a), so two deep values differ by a pure
+        # power of their abscissae; the low outer nodes overflow the
+        # scaled Bessel function there
+        p, s = make_kg(60.6, 0.6), make_stats(0.6, 0.5)
+        deep, shallow = pdf_Ae2e(p, s, 1e-200), pdf_Ae2e(p, s, 1e-100)
+        assert math.isfinite(deep)
+        assert deep / shallow == pytest.approx(1e-100 ** (s.zeta - 1.0), rel=1e-12)
+
 
 # --- the fixed Gauss-Legendre rules of the end-to-end twins ------------------
 
@@ -469,7 +493,7 @@ class TestFixedRules:
             x = _x_at(p, s, level)
             h = 1e-4
             deriv = (cdf_Ae2e(p, s, x * (1 + h)) - cdf_Ae2e(p, s, x * (1 - h))) / (2 * h * x)
-            assert pdf_Ae2e(p, s, x) == pytest.approx(deriv, rel=1e-6), level
+            assert pdf_Ae2e(p, s, x) == pytest.approx(deriv, rel=1e-6, abs=0.0), level
 
     @pytest.mark.parametrize("fine", [False, True])
     def test_failed_self_check_raises(self, monkeypatch, fine):

@@ -1,7 +1,9 @@
 """Edge-regime and concurrency coverage on top of the per-module tests."""
 
+import ast
 import math
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from ris_outage import (
     pdf_Ae2e,
     parse_scenario,
 )
+from ris_outage import errors
 from ris_outage.svgplot import render_log_plot
 from ris_outage.sweep import evaluate_sweep
 
@@ -152,3 +155,26 @@ class TestSvgEmitter:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             render_log_plot([1.0], [("empty", [None])], x_label="x")
+
+
+class TestErrorTaxonomy:
+    def test_every_error_class_is_raised(self):
+        # each RisOutageError subclass in errors.py is raised or constructed
+        # somewhere in the package: a class that nothing raises is dead API
+        subclasses = {
+            name for name, obj in vars(errors).items()
+            if isinstance(obj, type) and issubclass(obj, errors.RisOutageError)
+            and obj is not errors.RisOutageError
+        }
+        used = set()
+        for path in Path(errors.__file__).parent.rglob("*.py"):
+            if path.name == "errors.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                target = node.func if isinstance(node, ast.Call) else (
+                    node.exc if isinstance(node, ast.Raise) else None
+                )
+                if isinstance(target, ast.Name):
+                    used.add(target.id)
+        assert subclasses
+        assert subclasses <= used, sorted(subclasses - used)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import mp_hyp1f2_brute
-from ris_outage import DomainError, NoConvergence, SeriesControl, hyp1f2
+from ris_outage import DomainError, NoConvergence, hyp1f2
 
 # 50-digit references, frozen from an extended-precision evaluation
 HYP1F2_CASES = [
@@ -56,14 +56,10 @@ class TestHyp1F2:
             hyp1f2(1.0, 1.0, -3.0, 0.5)
 
     def test_no_convergence(self):
-        with pytest.raises(NoConvergence):
-            hyp1f2(2.0, 1.0, 1.0, 1e6, SeriesControl(rel_tol=1e-12, max_terms=64))
-
-    def test_series_control_validation(self):
-        with pytest.raises(DomainError):
-            SeriesControl(rel_tol=0.5)
-        with pytest.raises(DomainError):
-            SeriesControl(max_terms=10)
+        # the terms overflow after a few dozen steps; the series stops
+        # there instead of summing NaN up to its term cap
+        with pytest.raises(NoConvergence, match="overflow"):
+            hyp1f2(2.0, 1.0, 1.0, 1e30)
 
     def test_pure(self):
         args = (0.7, 1.3, 2.1, 2.5)
