@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special as sc
 
-from .errors import DomainError, MomentMatchFailure, NoConvergence
+from .errors import DomainError, MomentMatchFailure, NoConvergence, OverflowGuard
 from .fading import MGDistribution, product_moment
 from .geometry import MisalignmentStats
 from .special import _hyp1f2_diag
@@ -81,31 +81,39 @@ def sum_moments(
     d1: MGDistribution, d2: MGDistribution, n_elements: int, order: int
 ) -> float:
     """Raw moment E[A^order] of the sum of n_elements i.i.d. envelope
-    products, by iterated binomial convolution of the single-product
-    moment vector (identical to the nested multinomial expansion but
-    O(N order^2))."""
+    products, by binomial convolution of the single-product moment vector
+    (identical to the nested multinomial expansion but O(order^3 log N))."""
     if n_elements < 1:
         raise DomainError(f"n_elements must be >= 1, got {n_elements}")
     if order < 0:
         raise DomainError(f"order must be >= 0, got {order}")
-    return _moment_vector(d1, d2, n_elements, order)[order]
+    return float(_moment_vector(d1, d2, n_elements, order)[order])
 
 
 def _moment_vector(
     d1: MGDistribution, d2: MGDistribution, n_elements: int, max_order: int
 ) -> np.ndarray:
-    mu = np.array([product_moment(d1, d2, j) for j in range(max_order + 1)])
-    cur = mu.copy()
-    for _ in range(n_elements - 1):
-        nxt = np.empty_like(cur)
-        for order in range(max_order + 1):
-            nxt[order] = sum(
-                math.comb(order, j) * cur[j] * mu[order - j] for j in range(order + 1)
-            )
-        cur = nxt
-    if not np.all(np.isfinite(cur)):
-        raise OverflowError("sum moments exceed float range")
-    return cur
+    """E[A^o] for o = 0..max_order: the first column of L^N, where
+    L[o, j] = C(o, j) mu_(o-j) (mu the single-product moments) adds one
+    element to the sum, taken by repeated squaring."""
+    o = np.arange(max_order + 1)
+    mu = product_moment(d1, d2, o)
+    # above the diagonal o - j < 0 indexes mu from its end; tril zeroes it
+    step = np.tril(sc.binom(o[:, None], o) * mu[o[:, None] - o])
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.linalg.matrix_power(step, n_elements)[:, 0]
+    if not np.all((0.0 < out) & (out < math.inf)):
+        raise OverflowGuard(f"the moments of the {n_elements}-element sum leave float range")
+    return out
+
+
+# moment_match gives up where N eps cond(a_A) exceeds this, with
+# cond(a_A) = (mu6 mu2 + mu2^2 mu4 + 2 mu4^2) / |a_A|.  On four hop pairs
+# the shapes are then 0.16-1.9 times N eps cond(a_A) off 90-digit
+# references: within 2e-7 up to the largest N accepted (349-535), 5e-4 to
+# 2e-2 at N = 16384.  cond of the discriminant is left out: it is infinite
+# at the exact double root of identical Nakagami hops at N = 1.
+_MATCH_ERROR_LIMIT = 1e-7
 
 
 def moment_match(
@@ -121,15 +129,19 @@ def moment_match(
     identical Nakagami hops at N = 1, where k_a = m_a = m is exact) and is
     taken as zero.  Identical Nakagami hops at N >= 2 have a genuinely
     negative discriminant (0.17-3.7% of b_A^2 for m in 1..5) and still
-    raise.
+    raise.  It also raises where a_A cancels too far for doubles: see
+    _MATCH_ERROR_LIMIT.
     """
     mu = _moment_vector(d1, d2, n_elements, 6)
     mu2, mu4, mu6 = float(mu[2]), float(mu[4]), float(mu[6])
     a_c = mu6 * mu2 + mu2**2 * mu4 - 2.0 * mu4**2
+    cond_a = (mu6 * mu2 + mu2**2 * mu4 + 2.0 * mu4**2) / abs(a_c) if a_c else math.inf
+    err = n_elements * np.finfo(float).eps * cond_a
+    if not err <= _MATCH_ERROR_LIMIT:  # NaN from overflowing products raises too
+        raise MomentMatchFailure(f"the moments of the {n_elements}-element sum are "
+                                 f"too ill-conditioned: N eps cond(a_A) = {err:.2e}")
     b_c = mu6 * mu2 - 4.0 * mu4**2 + 3.0 * mu2**2 * mu4
     c_c = 2.0 * mu2**2 * mu4
-    if a_c == 0.0:
-        raise MomentMatchFailure("degenerate moment polynomial (a_A = 0)")
     disc = b_c * b_c - 4.0 * a_c * c_c
     if 0.0 > disc >= -1e-12 * b_c * b_c:
         disc = 0.0

@@ -90,6 +90,8 @@ def _selftest(out=sys.stdout) -> int:
         check(f"dual-path cdf_A (N={n})", worst_a < 1e-6, f"max abs diff {worst_a:.2e}")
         check(f"dual-path cdf_Ae2e (N={n})", worst_e < 1e-6, f"max abs diff {worst_e:.2e}")
 
+    # differences the quadrature twin: h = 1e-4 would amplify the ~1e-10
+    # error of the series at x = 0.5 sqrt(omega_a) ~5000x, to the bound
     d1, d2, n = configs[0]
     kg = moment_match(d1, d2, n)
     worst = 0.0
@@ -97,11 +99,12 @@ def _selftest(out=sys.stdout) -> int:
     for frac in (0.05, 0.5, 1.0):
         x = frac * math.sqrt(kg.omega_a)
         deriv = (
-            cdf_Ae2e(kg, stats, x * (1 + h)) - cdf_Ae2e(kg, stats, x * (1 - h))
+            cdf_Ae2e_quadrature(kg, stats, x * (1 + h))
+            - cdf_Ae2e_quadrature(kg, stats, x * (1 - h))
         ) / (2 * h * x)
         worst = max(worst, abs(pdf_Ae2e(kg, stats, x) - deriv) / deriv)
     check(
-        f"pdf_Ae2e vs central difference of cdf_Ae2e (N={n})",
+        f"pdf_Ae2e vs central difference of cdf_Ae2e_quadrature (N={n})",
         worst < 1e-6,
         f"max rel diff {worst:.2e}",
     )

@@ -39,8 +39,10 @@ class MGDistribution:
     terms: tuple[tuple[float, float], ...]
     rate: float
     label: str = ""
-    # mixture probabilities w_m, derived once at construction
-    _weights: np.ndarray = field(init=False, repr=False, compare=False)
+    # per-term a_m, b_m and mixture probabilities w_m, built once here
+    coeffs: np.ndarray = field(init=False, repr=False, compare=False)
+    shapes: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.terms:
@@ -57,23 +59,13 @@ class MGDistribution:
             raise DomainError(
                 f"mixture does not normalize: sum a Gamma(b) rate^-b = {total!r}"
             )
-        object.__setattr__(self, "_weights", w / total)
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        return np.array([t[0] for t in self.terms], dtype=float)
-
-    @property
-    def shapes(self) -> np.ndarray:
-        return np.array([t[1] for t in self.terms], dtype=float)
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Mixture probabilities of the squared-envelope Gamma components."""
-        return self._weights
+        for name, arr in (("coeffs", a), ("shapes", b), ("weights", w / total)):
+            arr.setflags(write=False)  # shared by every caller
+            object.__setattr__(self, name, arr)
 
     def normalization_residual(self) -> float:
-        w = self.coeffs * np.exp(sc.gammaln(self.shapes) - self.shapes * math.log(self.rate))
+        b = self.shapes
+        w = self.coeffs * np.exp(sc.gammaln(b) - b * math.log(self.rate))
         return float(abs(w.sum() - 1.0))
 
 
@@ -141,41 +133,32 @@ def envelope_pdf(d: MGDistribution, x) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def envelope_moment(d: MGDistribution, n: int) -> float:
-    """E[X^n] = sum_m a_m Gamma(b_m + n/2) rate^-(b_m + n/2)."""
-    if n < 0:
+def envelope_moment(d: MGDistribution, n) -> np.ndarray | float:
+    """E[X^n] = sum_m a_m Gamma(b_m + n/2) rate^-(b_m + n/2), for every
+    order in n at once (vectorized); OverflowGuard past float range."""
+    n_arr = np.asarray(n, dtype=float)
+    if np.any(n_arr < 0):
         raise DomainError(f"moment order must be >= 0, got {n}")
-    a, b = d.coeffs, d.shapes
-    log_terms = np.log(a) + sc.gammaln(b + n / 2.0) - (b + n / 2.0) * math.log(d.rate)
-    val = float(np.exp(sc.logsumexp(log_terms)))
-    if math.isinf(val):
-        raise OverflowError(f"moment of order {n} exceeds float range")
-    return val
+    b = d.shapes + n_arr[..., None] / 2.0
+    log_terms = np.log(d.coeffs) + sc.gammaln(b) - b * math.log(d.rate)
+    top = log_terms.max(axis=-1)  # sc.logsumexp costs ~0.14 ms a call here
+    with np.errstate(over="ignore"):
+        out = np.exp(top + np.log(np.exp(log_terms - top[..., None]).sum(axis=-1)))
+    return _finite(out, "moment")
 
 
-def product_moment(d1: MGDistribution, d2: MGDistribution, n: int) -> float:
-    """E[(|h||g|)^n] for independent mixture-Gamma envelopes.
+def product_moment(d1: MGDistribution, d2: MGDistribution, n) -> np.ndarray | float:
+    """E[(|h||g|)^n] = E[|h|^n] E[|g|^n] for independent envelopes, for
+    every order in n at once; strictly positive."""
+    with np.errstate(over="ignore"):
+        out = np.asarray(envelope_moment(d1, n) * envelope_moment(d2, n))
+    return _finite(out, "product moment")
 
-    Evaluated as the double sum over term pairs with
-    Gamma(b1 + n/2) Gamma(b2 + n/2) factors; strictly positive.
-    """
-    if n < 0:
-        raise DomainError(f"moment order must be >= 0, got {n}")
-    a1, b1 = d1.coeffs, d1.shapes
-    a2, b2 = d2.coeffs, d2.shapes
-    c1, c2 = d1.rate, d2.rate
-    lb1 = np.log(a1) + sc.gammaln(b1 + n / 2.0)
-    lb2 = np.log(a2) + sc.gammaln(b2 + n / 2.0)
-    log_terms = (
-        lb1[:, None]
-        + lb2[None, :]
-        - (b1[:, None] - b2[None, :]) / 2.0 * math.log(c1 / c2)
-        - (b1[:, None] + b2[None, :] + n) / 2.0 * math.log(c1 * c2)
-    )
-    val = float(np.exp(sc.logsumexp(log_terms)))
-    if math.isinf(val):
-        raise OverflowError(f"product moment of order {n} exceeds float range")
-    return val
+
+def _finite(out: np.ndarray, what: str) -> np.ndarray | float:
+    if not np.all(np.isfinite(out)):
+        raise OverflowGuard(f"{what} exceeds float range")
+    return out if out.ndim else float(out)
 
 
 def product_pdf(d1: MGDistribution, d2: MGDistribution, x) -> np.ndarray | float:

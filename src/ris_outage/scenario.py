@@ -224,7 +224,7 @@ def _to_float(v: str) -> float:
 
 
 def _to_int(v: str) -> int:
-    x = float(v)
+    x = _to_float(v)
     if x != int(x):
         raise ValueError(v)
     return int(x)

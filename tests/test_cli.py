@@ -46,8 +46,9 @@ class TestParser:
         with pytest.raises(ScenarioParseError, match="ris"):
             parse_scenario(bad)
 
-    def test_bad_value_reports_line_and_field(self):
-        bad = MINIMAL.replace("n_elements = 4", "n_elements = four")
+    @pytest.mark.parametrize("value", ["four", "1e400", "inf"])
+    def test_bad_value_reports_line_and_field(self, value):
+        bad = MINIMAL.replace("n_elements = 4", f"n_elements = {value}")
         with pytest.raises(ScenarioParseError, match="n_elements"):
             parse_scenario(bad)
 
@@ -253,6 +254,29 @@ class TestCli:
         assert err.startswith("numeric failure: aperture too large for the beam")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (out / "curve.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command,old,new,message",
+        [
+            # matrix powers keep the moments of a huge array cheap, and its
+            # match is refused as too ill-conditioned instead of hanging
+            ("report", "n_elements = 4", "n_elements = 1e7", "ill-conditioned"),
+            # E[|h|^6] ~ omega^3 leaves float range
+            ("run", "m = 1.0 }", "m = 1.0  omega = 1e120 }", "float range"),
+        ],
+        ids=["huge-n-elements", "huge-omega"],
+    )
+    def test_moment_failure_exit_code(self, tmp_path, command, old, new, message):
+        scn = tmp_path / "bad.scenario"
+        scn.write_text(MINIMAL.replace(old, new))
+        args = [sys.executable, "-m", "ris_outage.cli", command, str(scn)]
+        if command == "run":
+            args += ["-o", str(tmp_path / "out")]
+        proc = subprocess.run(args, capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("numeric failure: ") and message in proc.stderr
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file_exit_code(self, tmp_path):
         assert run_cli(["run", str(tmp_path / "nope.scenario"), "-o", str(tmp_path)]) == 4

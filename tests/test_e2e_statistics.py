@@ -33,6 +33,15 @@ ONE_MINUS_2K1_2 = 0.72026823636695514543080238592917795222553083031697
 FOUR_K0_2 = 0.45557549099813374261087829972992733199330649755524
 
 
+# hop pairs over which the moment match is checked against extended precision
+MATCH_PAIRS = {
+    "nakagami1-rice5db": (from_nakagami(1.0), from_rice(RICE_5DB, 20)),
+    "nakagami0.8-nakagami3": (from_nakagami(0.8), from_nakagami(3.0)),
+    "nakagami2.5-riceK2": (from_nakagami(2.5), from_rice(2.0, 20)),
+    "riceK10-riceK0.5": (from_rice(10.0, 20), from_rice(0.5, 20)),
+}
+
+
 def kg_double_rayleigh() -> KGParams:
     d = from_nakagami(1.0)
     return moment_match(d, d, 1)
@@ -84,14 +93,26 @@ class TestMomentMatch:
         assert p.xi == pytest.approx(1.0, abs=1e-9)
         assert p.moments2_4_6 == pytest.approx((1.0, 4.0, 36.0), rel=1e-12)
 
-    def test_against_extended_precision(self):
-        d1, d2 = from_nakagami(1.0), from_rice(RICE_5DB, 20)
-        p = moment_match(d1, d2, 16)
-        k_ref, m_ref, xi_ref, om_ref = mp_moment_match(d1, d2, 16)
-        assert p.k_a == pytest.approx(k_ref, rel=1e-9)
-        assert p.m_a == pytest.approx(m_ref, rel=1e-9)
-        assert p.xi == pytest.approx(xi_ref, rel=1e-9)
-        assert p.omega_a == pytest.approx(om_ref, rel=1e-9)
+    @pytest.mark.parametrize("n", [1, 4, 16, 64, 256])
+    @pytest.mark.parametrize("pair", sorted(MATCH_PAIRS))
+    def test_against_extended_precision(self, pair, n):
+        # the rounding error grows as N^3 (N eps times the cancellation in
+        # a_A, which grows as N^2); measured worst ~4.5e-15 N^3
+        d1, d2 = MATCH_PAIRS[pair]
+        p = moment_match(d1, d2, n)
+        k_ref, m_ref, xi_ref, om_ref = mp_moment_match(d1, d2, n)
+        rel = 1e-13 + 2e-14 * n**3
+        assert p.k_a == pytest.approx(k_ref, rel=rel)
+        assert p.m_a == pytest.approx(m_ref, rel=rel)
+        assert p.xi == pytest.approx(xi_ref, rel=rel)
+        assert p.omega_a == pytest.approx(om_ref, rel=rel)
+
+    @pytest.mark.parametrize("pair", sorted(MATCH_PAIRS))
+    def test_large_n_ill_conditioned_raises(self, pair):
+        # at N = 16384 the double-precision shapes are 5e-4 to 2e-2 off a
+        # 90-digit reference: no match beats a silently wrong one
+        with pytest.raises(MomentMatchFailure, match="ill-conditioned"):
+            moment_match(*MATCH_PAIRS[pair], 16384)
 
     def test_scale_covariance(self):
         # scaling both mean powers by s^2 scales omega_a by s^2, shapes invariant
@@ -306,6 +327,18 @@ class TestCdfAe2e:
         for x in (0.5623, 1.7783):
             ref = float(mp_cdf_Ae2e(p.k_a, p.m_a, p.xi, s.b_o, s.zeta, x))
             assert cdf_Ae2e(p, s, x) == pytest.approx(ref, rel=1e-7)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the router keeps a series with cond 6.6e5 < _COND_LIMIT, "
+        "~2e-10 off where the quadrature twin is right to ~1e-16",
+    )
+    def test_ill_conditioned_series_point_against_mp_reference(self):
+        p = kg_reference(4)
+        s = make_stats(0.55, 3.5)
+        x = 0.5 * math.sqrt(p.omega_a)
+        ref = float(mp_cdf_Ae2e(p.k_a, p.m_a, p.xi, s.b_o, s.zeta, x))
+        assert cdf_Ae2e(p, s, x) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     def test_quadrature_concentration_limit(self):
         # zeta -> inf concentrates h_g at B_o, so F(x) -> F_A(x / B_o)
