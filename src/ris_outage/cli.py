@@ -4,8 +4,8 @@
     ris-outage run --selftest
     ris-outage report <scenario>
 
-Exit codes: 0 success, 2 scenario parse error (or a bad
-RIS_OUTAGE_THREADS), 3 numeric failure, 4 I/O failure.  --mc draws one
+Exit codes: 0 success, 2 a bad scenario value, flag or
+RIS_OUTAGE_THREADS, 3 numeric failure, 4 I/O failure.  --mc draws one
 Monte Carlo sample set per curve from the stream seeded by the
 scenario's mc seed.  Results are deterministic for a fixed scenario and
 seed; RIS_OUTAGE_THREADS sets only the number of sampling threads,
@@ -126,69 +126,39 @@ def _cmd_run(args) -> int:
     if args.selftest:
         return _selftest()
     if args.scenario is None:
-        print("error: a scenario file is required unless --selftest", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        scn = load_scenario(args.scenario)
-    except ConfigError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
-        print(f"cannot read scenario: {exc}", file=sys.stderr)
-        return EXIT_IO
-    if args.rate_threshold is not None:
-        scn = dc_replace(scn, gamma_th=2.0 ** args.rate_threshold - 1.0)
-    try:
-        rows = evaluate_sweep(scn, with_mc=args.mc)
-    except ConfigError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except RisOutageError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        raise ConfigError("a scenario file is required unless --selftest")
+    scn = load_scenario(args.scenario)
+    if args.gamma_th is not None:
+        scn = dc_replace(scn, gamma_th=args.gamma_th)
+    rows = evaluate_sweep(scn, with_mc=args.mc)
 
-    try:
-        os.makedirs(args.output, exist_ok=True)
-        csv_path = os.path.join(args.output, "curve.csv")
-        lines = [CSV_HEADER] + [row.csv_line() for row in rows]
-        _write_atomic(csv_path, "\n".join(lines) + "\n")
-        print(csv_path)
-        if args.svg:
-            series = [("exact", [r.op_exact for r in rows])]
-            if any(r.op_asymptotic is not None for r in rows):
-                series.append(("asymptotic", [r.op_asymptotic for r in rows]))
-            if any(r.op_floor is not None for r in rows):
-                series.append(("floor", [r.op_floor for r in rows]))
-            if any(r.op_mc is not None for r in rows):
-                series.append(("monte carlo", [r.op_mc for r in rows]))
+    os.makedirs(args.output, exist_ok=True)
+    csv_path = os.path.join(args.output, "curve.csv")
+    lines = [CSV_HEADER] + [row.csv_line() for row in rows]
+    _write_atomic(csv_path, "\n".join(lines) + "\n")
+    print(csv_path)
+    if args.svg:
+        series = [("exact", [r.op_exact for r in rows])]
+        if any(r.op_asymptotic is not None for r in rows):
+            series.append(("asymptotic", [r.op_asymptotic for r in rows]))
+        if any(r.op_floor is not None for r in rows):
+            series.append(("floor", [r.op_floor for r in rows]))
+        if any(r.op_mc is not None for r in rows):
+            series.append(("monte carlo", [r.op_mc for r in rows]))
+        try:
             svg = render_log_plot(
-                [r.sweep_value for r in rows],
-                series,
-                x_label=scn.sweep.variable,
+                [r.sweep_value for r in rows], series, x_label=scn.sweep.variable
             )
-            svg_path = os.path.join(args.output, "curve.svg")
-            _write_atomic(svg_path, svg)
-            print(svg_path)
-    except (OSError, ValueError) as exc:
-        print(f"output failure: {exc}", file=sys.stderr)
-        return EXIT_IO
+        except ValueError as exc:  # no positive value for the log axis
+            raise OSError(f"cannot write curve.svg: {exc}") from None
+        svg_path = os.path.join(args.output, "curve.svg")
+        _write_atomic(svg_path, svg)
+        print(svg_path)
     return EXIT_OK
 
 
 def _cmd_report(args) -> int:
-    try:
-        scn = load_scenario(args.scenario)
-    except ConfigError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
-        print(f"cannot read scenario: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        report = derived_report(scn)
-    except RisOutageError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    report = derived_report(load_scenario(args.scenario))
     width = max(len(k) for k in report)
     for key, value in report.items():
         if isinstance(value, float):
@@ -200,6 +170,20 @@ def _cmd_report(args) -> int:
             text = str(value)
         print(f"{key:<{width}}  {text}")
     return EXIT_OK
+
+
+def _threshold_from_rate(text: str) -> float:
+    """gamma_th = 2^R - 1 of a spectral efficiency R: a finite R > 0
+    whose threshold is finite."""
+    try:
+        gamma_th = 2.0 ** float(text) - 1.0
+    except (ValueError, OverflowError):
+        gamma_th = math.nan
+    if not 0.0 < gamma_th < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"R must be finite and > 0 with 2^R - 1 finite, got {text!r}"
+        )
+    return gamma_th
 
 
 def main(argv=None) -> int:
@@ -219,8 +203,8 @@ def main(argv=None) -> int:
     )
     p_run.add_argument(
         "--rate-threshold",
-        type=float,
-        default=None,
+        type=_threshold_from_rate,
+        dest="gamma_th",
         metavar="R",
         help="set gamma_th = 2^R - 1 from a spectral efficiency",
     )
@@ -231,7 +215,18 @@ def main(argv=None) -> int:
     p_report.set_defaults(func=_cmd_report)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    # the one map from errors to exit codes, one stderr line each
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"scenario error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except RisOutageError as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except OSError as exc:
+        print(f"I/O failure: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

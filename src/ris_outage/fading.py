@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 _NORMALIZATION_TOL = 1e-9
+_RICE_MAX_TERMS = 60  # factorial growth past float range beyond this
+_RICE_DROPPED_MASS = 1e-2
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,12 @@ def from_nakagami(m: float, omega: float = 1.0) -> MGDistribution:
     if not (omega > 0 and math.isfinite(omega)):
         raise DomainError(f"spread must be positive, got {omega}")
     rate = m / omega
-    a = math.exp(m * math.log(rate) - sc.gammaln(m))
+    try:
+        a = math.exp(m * math.log(rate) - sc.gammaln(m))
+    except OverflowError:
+        raise OverflowGuard(
+            f"(m/omega)^m / Gamma(m) overflows at m = {m}, omega = {omega}"
+        ) from None
     return MGDistribution(
         terms=((a, m),), rate=rate, label=f"nakagami(m={m:g}, omega={omega:g})"
     )
@@ -89,14 +96,31 @@ def from_rice(k_r: float, n_terms: int = 20) -> MGDistribution:
 
     The k-th raw weight is delta(k) = k_r^(k-1) (1+k_r)^k /
     (e^(k_r) ((k-1)!)^2); the returned coefficients are normalized so the
-    mixture integrates to one exactly.
+    mixture integrates to one exactly.  Truncation drops the weight
+    P(Poisson(k_r) >= n_terms) of the exact law, which normalization
+    would hide: DomainError where that exceeds 1e-2, naming the smallest
+    n_terms that would do (20 terms hold up to k_r = 10.4 dB, 60 terms
+    up to 16.4 dB).
     """
     if k_r < 0 or not math.isfinite(k_r):
-        raise DomainError(f"Rice K-factor must be >= 0, got {k_r}")
+        raise DomainError(f"Rice K-factor must be finite and >= 0, got {k_r}")
     if n_terms < 1:
         raise DomainError(f"n_terms must be >= 1, got {n_terms}")
-    if n_terms > 60:
+    if n_terms > _RICE_MAX_TERMS:
         raise OverflowGuard(f"n_terms = {n_terms} would overflow factorial growth")
+    dropped = float(sc.gammainc(n_terms, k_r))
+    if dropped > _RICE_DROPPED_MASS:
+        counts = np.arange(n_terms + 1, _RICE_MAX_TERMS + 1)
+        enough = counts[sc.gammainc(counts, k_r) <= _RICE_DROPPED_MASS]
+        hint = (
+            f"n_terms >= {enough[0]} keeps it below {_RICE_DROPPED_MASS:g}"
+            if enough.size
+            else f"no n_terms <= {_RICE_MAX_TERMS} keeps it below {_RICE_DROPPED_MASS:g}"
+        )
+        raise DomainError(
+            f"Rice K-factor {k_r:g} with n_terms = {n_terms} drops mixture weight "
+            f"{dropped:.3g}; {hint}"
+        )
     rate = 1.0 + k_r
     ks = np.arange(1, n_terms + 1, dtype=float)
     if k_r == 0.0:

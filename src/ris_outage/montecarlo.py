@@ -46,19 +46,21 @@ class MCConfig:
             raise ConfigError(f"samples must be positive, got {self.samples}")
         if self.chunk_size <= 0:
             raise ConfigError(f"chunk_size must be positive, got {self.chunk_size}")
+        if self.workers != "auto" and not (isinstance(self.workers, int) and self.workers >= 1):
+            raise ConfigError(f"workers must be 'auto' or an integer >= 1, got {self.workers!r}")
 
     def resolved_workers(self) -> int:
-        workers, source = self.workers, "workers"
-        if workers == "auto":
-            workers, source = os.environ.get("RIS_OUTAGE_THREADS"), "RIS_OUTAGE_THREADS"
-            if not workers:
-                return min(8, os.cpu_count() or 1)
+        if self.workers != "auto":
+            return self.workers
+        env = os.environ.get("RIS_OUTAGE_THREADS")
+        if not env:
+            return min(8, os.cpu_count() or 1)
         try:
-            n = int(workers)
-        except (TypeError, ValueError):
+            n = int(env)
+        except ValueError:
             n = 0
         if n < 1:
-            raise ConfigError(f"{source} must be an integer >= 1, got {workers!r}")
+            raise ConfigError(f"RIS_OUTAGE_THREADS must be an integer >= 1, got {env!r}")
         return n
 
 

@@ -62,9 +62,6 @@ class HardwareProfile:
         return self.kappa_s**2 + self.kappa_d**2
 
 
-IDEAL_HARDWARE = HardwareProfile(0.0, 0.0)
-
-
 @dataclass(frozen=True)
 class OutageScenario:
     """One outage-probability evaluation point.  mis=None selects the
@@ -77,8 +74,10 @@ class OutageScenario:
     mis: MisalignmentStats | None = None
 
     def __post_init__(self):
-        if not (self.gamma > 0 and self.gamma_th > 0):
-            raise DomainError("gamma and gamma_th must be positive")
+        if not (0 < self.gamma < math.inf and 0 < self.gamma_th < math.inf):
+            raise DomainError("gamma and gamma_th must be positive and finite")
+        if self.gamma_th / self.gamma == 0.0:
+            raise DomainError(f"gamma_th / gamma underflows: {self.gamma_th} / {self.gamma}")
 
 
 def max_threshold(hw: HardwareProfile) -> float:

@@ -21,15 +21,20 @@ Example::
     mc { samples = 1000000  seed = 42 }
 
 Multiple `key = value` pairs may share a line inside `{ ... }`.  A block
-or key that is not part of the format is a parse error.
+or key that is not part of the format is a parse error.  The keys and
+defaults of the `hardware`, `geometry`, `mc` and `sweep` blocks are the
+fields of `HardwareProfile`, `GeometryConfig`, `MCConfig` and
+`SweepSpec`, and those of a hop the arguments of `from_nakagami` or
+`from_rice` (with `k_r_db` in dB).  A value that the type or factory
+refuses is a parse error that names the block.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
-from .errors import ConfigError
+from .errors import ConfigError, RisOutageError
 from .fading import MGDistribution, from_nakagami, from_rice
 from .geometry import GeometryConfig
 from .montecarlo import MCConfig
@@ -70,6 +75,16 @@ class SweepSpec:
     stop: float
     points: int
 
+    def __post_init__(self):
+        if self.variable not in SWEEP_VARIABLES:
+            raise ConfigError(
+                f"unknown sweep variable {self.variable!r}; expected one of {SWEEP_VARIABLES}"
+            )
+        if self.points < 1:
+            raise ConfigError(f"points must be >= 1, got {self.points}")
+        if not self.start <= self.stop:
+            raise ConfigError("sweep range must be ordered (start <= stop)")
+
     def values(self) -> list[float]:
         if self.points == 1:
             return [self.start]
@@ -90,24 +105,56 @@ class ScenarioFile:
     gamma_th: float = 1.0           # linear
 
 
+def _to_float(v: str) -> float:
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(v)
+    return x
+
+
+def _to_int(v: str) -> int:
+    x = _to_float(v)
+    if x != int(x):
+        raise ValueError(v)
+    return int(x)
+
+
+def _from_db(db: float) -> float:
+    """10^(db/10); inf past float range."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
+def _rice_from_db(k_r_db: float, **kwargs) -> MGDistribution:
+    return from_rice(_from_db(k_r_db), **kwargs)
+
+
+# the config type of each typed block, whose fields are the block's keys,
+# and the converters of its non-float fields
+_TYPED_BLOCKS = {
+    "hardware": (HardwareProfile, {}),
+    "sweep": (SweepSpec, {"variable": str, "points": _to_int}),
+    "geometry": (GeometryConfig, {}),
+    "mc": (MCConfig, {"samples": _to_int, "seed": _to_int, "chunk_size": _to_int,
+                      "workers": lambda v: v if v == "auto" else _to_int(v)}),
+}
+# the factory and the keys of each hop kind, required key first; the
+# other key, left out, takes the factory's default
+_HOP_KINDS = {
+    "nakagami": (from_nakagami, ("m", "omega")),
+    "rice": (_rice_from_db, ("k_r_db", "n_terms")),
+}
 # the keys of each block, by dotted path; the keys of a hop depend on its
-# kind (_HOP_KEYS), and a block holds only the blocks listed below it
+# kind, and a block holds only the blocks listed below it
 _BLOCK_KEYS = {
     "fading": (),
     "fading.hop1": None,
     "fading.hop2": None,
     "ris": ("n_elements",),
-    "hardware": ("kappa_s", "kappa_d"),
-    "sweep": ("variable", "start", "stop", "points"),
-    "geometry": (
-        "l2", "w_o", "f", "cn2", "alpha", "theta", "phi", "sigma_p", "sigma_o", "d_x"
-    ),
-    "mc": ("samples", "seed", "chunk_size", "workers"),
     "link": ("gamma_db", "gamma_th_db", "gamma_th"),
-}
-_HOP_KEYS = {
-    "nakagami": ("kind", "m", "omega"),
-    "rice": ("kind", "k_r_db", "n_terms"),
+    **{name: tuple(f.name for f in fields(cls)) for name, (cls, _) in _TYPED_BLOCKS.items()},
 }
 
 
@@ -143,11 +190,9 @@ def _parse_blocks(text: str) -> dict:
     pending_name: str | None = None
     pending_line = 0
     for lineno, (kind, a, b) in _tokenize(text):
+        if pending_name is not None and kind != "open":
+            raise ScenarioParseError(f"dangling block name '{pending_name}'", pending_line)
         if kind == "name":
-            if pending_name is not None:
-                raise ScenarioParseError(
-                    f"dangling block name '{pending_name}'", pending_line
-                )
             pending_name, pending_line = a, lineno
         elif kind == "open":
             if pending_name is None:
@@ -165,19 +210,11 @@ def _parse_blocks(text: str) -> dict:
             paths.append(path)
             pending_name = None
         elif kind == "close":
-            if pending_name is not None:
-                raise ScenarioParseError(
-                    f"dangling block name '{pending_name}'", pending_line
-                )
             if len(stack) == 1:
                 raise ScenarioParseError("unmatched '}'", lineno)
             stack.pop()
             paths.pop()
         else:  # pair
-            if pending_name is not None:
-                raise ScenarioParseError(
-                    f"dangling block name '{pending_name}'", pending_line
-                )
             keys = _BLOCK_KEYS.get(paths[-1], ())
             if keys is not None and a not in keys:
                 raise _bad_key("unknown", paths[-1], a, lineno)
@@ -199,53 +236,73 @@ def _bad_key(what: str, path: str, key: str, lineno: int) -> ScenarioParseError:
     return ScenarioParseError(f"{what} key '{key}'", lineno, field_name=_join(path, key))
 
 
-_MISSING = object()
-
-
-def _get_scalar(block: dict, key: str, conv, *, default=_MISSING):
+def _get_scalar(block: dict, key: str, conv, path: str):
     if key not in block:
-        if default is not _MISSING:
-            return default
-        raise ScenarioParseError(f"missing required field", field_name=key)
+        raise ScenarioParseError("missing required field", field_name=_join(path, key))
     value, lineno = block[key]
     try:
         return conv(value)
     except (TypeError, ValueError):
         raise ScenarioParseError(
-            f"cannot interpret value {value!r}", line=lineno, field_name=key
+            f"cannot interpret value {value!r}", line=lineno, field_name=_join(path, key)
         ) from None
 
 
-def _to_float(v: str) -> float:
-    x = float(v)
-    if not math.isfinite(x):
-        raise ValueError(v)
-    return x
+def _build(path: str, factory, block: dict, converters: dict, required):
+    """factory(**block), each value a float unless converters names the
+    key; a value that the factory refuses is a parse error of the block."""
+    keys = dict.fromkeys([*required, *block])  # a missing required key raises
+    kwargs = {key: _get_scalar(block, key, converters.get(key, _to_float), path) for key in keys}
+    try:
+        return factory(**kwargs)
+    except RisOutageError as exc:
+        raise ScenarioParseError(str(exc), field_name=path) from None
 
 
-def _to_int(v: str) -> int:
-    x = _to_float(v)
-    if x != int(x):
-        raise ValueError(v)
-    return int(x)
+def _build_typed(name: str, block: dict):
+    cls, converters = _TYPED_BLOCKS[name]
+    required = [f.name for f in fields(cls) if f.default is MISSING]
+    return _build(name, cls, block, converters, required)
 
 
-def _build_hop(block: dict, name: str) -> MGDistribution:
-    kind = _get_scalar(block, "kind", str)
-    if kind not in _HOP_KEYS:
+def _build_hop(block: dict, path: str) -> MGDistribution:
+    kind = _get_scalar(block, "kind", str, path)
+    if kind not in _HOP_KINDS:
         raise ScenarioParseError(
-            f"unknown fading kind {kind!r} (expected nakagami or rice)", field_name=name
+            f"unknown fading kind {kind!r} (expected nakagami or rice)", field_name=path
         )
-    for key, (_, lineno) in block.items():
-        if key not in _HOP_KEYS[kind]:
-            raise _bad_key("unknown", name, key, lineno)
-    if kind == "nakagami":
-        m = _get_scalar(block, "m", _to_float)
-        omega = _get_scalar(block, "omega", _to_float, default=1.0)
-        return from_nakagami(m, omega)
-    k_r_db = _get_scalar(block, "k_r_db", _to_float)
-    n_terms = _get_scalar(block, "n_terms", _to_int, default=20)
-    return from_rice(10.0 ** (k_r_db / 10.0), n_terms)
+    factory, keys = _HOP_KINDS[kind]
+    params = {key: entry for key, entry in block.items() if key != "kind"}
+    for key, (_, lineno) in params.items():
+        if key not in keys:
+            raise _bad_key("unknown", path, key, lineno)
+    return _build(path, factory, params, {"n_terms": _to_int}, keys[:1])
+
+
+def _link(block: dict) -> dict:
+    """The linear gamma and gamma_th that the link block sets."""
+    if "gamma_th" in block and "gamma_th_db" in block:
+        raise ScenarioParseError(
+            "gamma_th and gamma_th_db both set the threshold",
+            block["gamma_th_db"][1],
+            field_name="link",
+        )
+    link = {}
+    for key, name, to_linear in (
+        ("gamma_db", "gamma", _from_db),
+        ("gamma_th_db", "gamma_th", _from_db),
+        ("gamma_th", "gamma_th", float),
+    ):
+        if key in block:
+            value = to_linear(_get_scalar(block, key, _to_float, "link"))
+            if not 0.0 < value < math.inf:
+                raise ScenarioParseError(
+                    f"{name} must be positive and finite, got {value!r}",
+                    block[key][1],
+                    field_name=f"link.{key}",
+                )
+            link[name] = value
+    return link
 
 
 def parse_scenario(text: str) -> ScenarioFile:
@@ -256,102 +313,38 @@ def parse_scenario(text: str) -> ScenarioFile:
             raise ScenarioParseError("missing required block", field_name=required)
 
     fading = root["fading"]
+    hops = {}
     for hop in ("hop1", "hop2"):
         if hop not in fading:
             raise ScenarioParseError("missing hop block", field_name=f"fading.{hop}")
-    hop1 = _build_hop(fading["hop1"], "fading.hop1")
-    hop2 = _build_hop(fading["hop2"], "fading.hop2")
+        hops[hop] = _build_hop(fading[hop], f"fading.{hop}")
 
-    n_elements = _get_scalar(root["ris"], "n_elements", _to_int)
+    n_elements = _get_scalar(root["ris"], "n_elements", _to_int, "ris")
     if n_elements < 1:
         raise ScenarioParseError("n_elements must be >= 1", field_name="ris.n_elements")
 
-    hw = HardwareProfile(
-        kappa_s=_get_scalar(root["hardware"], "kappa_s", _to_float, default=0.0),
-        kappa_d=_get_scalar(root["hardware"], "kappa_d", _to_float, default=0.0),
-    )
+    typed = {name: _build_typed(name, root[name]) for name in _TYPED_BLOCKS if name in root}
+    link = _link(root.get("link", {}))
 
-    sweep_block = root["sweep"]
-    variable = _get_scalar(sweep_block, "variable", str)
-    if variable not in SWEEP_VARIABLES:
-        raise ScenarioParseError(
-            f"unknown sweep variable {variable!r}; expected one of {SWEEP_VARIABLES}",
-            field_name="sweep.variable",
-        )
-    start = _get_scalar(sweep_block, "start", _to_float)
-    stop = _get_scalar(sweep_block, "stop", _to_float)
-    points = _get_scalar(sweep_block, "points", _to_int)
-    if points < 1:
-        raise ScenarioParseError("points must be >= 1", field_name="sweep.points")
-    if stop < start:
-        raise ScenarioParseError(
-            "sweep range must be ordered (start <= stop)", field_name="sweep"
-        )
-    sweep = SweepSpec(variable=variable, start=start, stop=stop, points=points)
-
-    geometry = None
-    if "geometry" in root:
-        g = root["geometry"]
-        geometry = GeometryConfig(
-            l2=_get_scalar(g, "l2", _to_float),
-            w_o=_get_scalar(g, "w_o", _to_float),
-            f=_get_scalar(g, "f", _to_float),
-            cn2=_get_scalar(g, "cn2", _to_float),
-            alpha=_get_scalar(g, "alpha", _to_float),
-            theta=_get_scalar(g, "theta", _to_float),
-            phi=_get_scalar(g, "phi", _to_float),
-            sigma_p=_get_scalar(g, "sigma_p", _to_float),
-            sigma_o=_get_scalar(g, "sigma_o", _to_float, default=0.0),
-            d_x=_get_scalar(g, "d_x", _to_float, default=0.0),
-        )
-
-    mc = None
-    if "mc" in root:
-        m = root["mc"]
-        mc = MCConfig(
-            samples=_get_scalar(m, "samples", _to_int),
-            seed=_get_scalar(m, "seed", _to_int, default=0),
-            chunk_size=_get_scalar(m, "chunk_size", _to_int, default=1 << 16),
-            workers=_get_scalar(
-                m, "workers", lambda v: v if v == "auto" else _to_int(v), default="auto"
-            ),
-        )
-
-    gamma = None
-    gamma_th = 1.0
-    if "link" in root:
-        link = root["link"]
-        if "gamma_db" in link:
-            gamma = 10.0 ** (_get_scalar(link, "gamma_db", _to_float) / 10.0)
-        if "gamma_th_db" in link:
-            gamma_th = 10.0 ** (_get_scalar(link, "gamma_th_db", _to_float) / 10.0)
-        elif "gamma_th" in link:
-            gamma_th = _get_scalar(link, "gamma_th", _to_float)
-
-    if sweep.variable != "gamma_over_gamma_th_db" and gamma is None:
+    variable = typed["sweep"].variable
+    if variable != "gamma_over_gamma_th_db" and "gamma" not in link:
         raise ScenarioParseError(
             "sweeps other than gamma_over_gamma_th_db need link { gamma_db = ... }",
             field_name="link.gamma_db",
         )
-    if sweep.variable in ("sigma_p", "l2", "alpha", "phi") and geometry is None:
+    if variable in ("sigma_p", "l2", "alpha", "phi") and "geometry" not in typed:
         raise ScenarioParseError(
-            f"sweep over {sweep.variable} requires a geometry block",
+            f"sweep over {variable} requires a geometry block",
             field_name="geometry",
         )
 
-    return ScenarioFile(
-        hop1=hop1,
-        hop2=hop2,
-        n_elements=n_elements,
-        hardware=hw,
-        sweep=sweep,
-        geometry=geometry,
-        mc=mc,
-        gamma=gamma,
-        gamma_th=gamma_th,
-    )
+    return ScenarioFile(**hops, n_elements=n_elements, **typed, **link)
 
 
 def load_scenario(path: str) -> ScenarioFile:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ScenarioParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return parse_scenario(text)

@@ -278,6 +278,62 @@ class TestCli:
         assert proc.stderr.count("\n") == 1, proc.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "old,new,field",
+        [
+            ("m = 1.0 }", "m = 0.3 }", "fading.hop1"),
+            ("m = 1.0 }", "m = 1.0  omega = -2 }", "fading.hop1"),
+            # (m/omega)^m / Gamma(m) leaves float range
+            ("m = 1.0 }", "m = 1e6 }", "fading.hop1"),
+            ("n_terms = 20", "n_terms = 0", "fading.hop2"),
+            ("n_terms = 20", "n_terms = 100", "fading.hop2"),
+            # 20 terms drop 0.53 of the 13 dB Rice law
+            ("k_r_db = 5.0", "k_r_db = 13", "fading.hop2"),
+            ("kappa_s = 0.0", "kappa_s = 1.5", "hardware"),
+            ("sweep {", "geometry { l2 = -5  w_o = 1e-3  f = 100e9  cn2 = 2.3e-9  "
+             "alpha = 0.1  theta = 5.5  phi = 2.1  sigma_p = 0.05 }\nsweep {", "geometry"),
+            # checked although run without --mc
+            ("sweep {", "mc { samples = 100  workers = 0 }\nsweep {", "mc"),
+            ("sweep {", "link { gamma_th = 3  gamma_th_db = 0 }\nsweep {", "link"),
+            ("sweep {", "link { gamma_th = 0 }\nsweep {", "link.gamma_th"),
+            ("sweep {", "link { gamma_db = 4000 }\nsweep {", "link.gamma_db"),
+        ],
+        ids=["nakagami-m", "nakagami-omega", "nakagami-huge-m", "rice-no-terms",
+             "rice-too-many-terms", "rice-dropped-mass", "kappa-s", "geometry-l2",
+             "mc-workers", "two-thresholds", "zero-threshold", "gamma-db-overflow"],
+    )
+    def test_out_of_domain_value_exit_code(self, tmp_path, old, new, field):
+        scn = tmp_path / "bad.scenario"
+        scn.write_text(MINIMAL.replace(old, new, 1))
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "ris_outage.cli", "run", str(scn), "-o", str(out)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("scenario error: "), proc.stderr
+        assert f"field '{field}'" in proc.stderr
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rate", ["1e4", "inf", "nan", "-1", "0"])
+    def test_bad_rate_threshold_exit_code(self, tmp_path, capsys, rate):
+        scn = os.path.join(SCENARIO_DIR, "aligned_elements.scenario")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            run_cli(["run", scn, "-o", str(out), f"--rate-threshold={rate}"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --rate-threshold: R must be finite and > 0" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_binary_scenario_exit_code(self, tmp_path, capsys):
+        scn = tmp_path / "binary.scenario"
+        scn.write_bytes(b"\xff\xfe\x00fading {")
+        assert run_cli(["report", str(scn)]) == 2
+        assert capsys.readouterr().err.startswith("scenario error: not UTF-8 text")
+
     def test_missing_file_exit_code(self, tmp_path):
         assert run_cli(["run", str(tmp_path / "nope.scenario"), "-o", str(tmp_path)]) == 4
 

@@ -90,6 +90,17 @@ class TestRiceMapping:
         with pytest.raises(OverflowGuard):
             from_rice(1.0, 61)
 
+    def test_refuses_truncation_that_drops_mass(self):
+        # at 13 dB, 20 terms drop P(Poisson(K) >= 20) = 0.53 of the law,
+        # which normalization would hide (E[X^2] = 0.82 instead of 1)
+        with pytest.raises(DomainError, match=r"n_terms >= 32 keeps it below 0\.01"):
+            from_rice(10.0**1.3, 20)
+        with pytest.raises(DomainError, match=r"no n_terms <= 60"):
+            from_rice(10.0**1.7, 20)
+        # 10 dB drops 3.5e-3 with 20 terms; 40 terms at 13 dB drop 5e-5
+        assert envelope_moment(from_rice(10.0, 20), 2) == pytest.approx(1.0, abs=4e-3)
+        assert envelope_moment(from_rice(10.0**1.3, 40), 2) == pytest.approx(1.0, abs=1e-4)
+
 
 class TestEnvelopePdf:
     def test_rayleigh_closed_form(self):

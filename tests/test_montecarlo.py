@@ -72,6 +72,11 @@ class TestDeterminism:
         assert MCConfig(samples=1, workers=1).resolved_workers() == 1
         assert MCConfig(samples=1).resolved_workers() == 4
 
+    @pytest.mark.parametrize("workers", [0, -2, 1.5, "4", None])
+    def test_bad_workers_is_config_error(self, workers):
+        with pytest.raises(ConfigError, match="workers"):
+            MCConfig(samples=1, workers=workers)
+
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
     def test_bad_env_is_config_error(self, monkeypatch, value):
         monkeypatch.setenv("RIS_OUTAGE_THREADS", value)

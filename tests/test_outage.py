@@ -30,6 +30,22 @@ def kg_reference(n_elements=16):
     return moment_match(from_nakagami(1.0), from_rice(RICE_5DB, 20), n_elements)
 
 
+class TestOutageScenario:
+    @pytest.mark.parametrize(
+        "gamma,gamma_th,match",
+        [
+            (10.0, math.inf, "must be positive and finite"),
+            (math.inf, 1.0, "must be positive and finite"),
+            # x = sqrt(gamma_th / gamma) would be 0
+            (1e300, 1e-300, "underflows"),
+        ],
+    )
+    def test_rejects_non_finite_or_underflowing_ratio(self, gamma, gamma_th, match):
+        with pytest.raises(DomainError, match=match):
+            OutageScenario(kg=kg_reference(4), hw=HardwareProfile(), gamma=gamma,
+                           gamma_th=gamma_th)
+
+
 class TestOpExact:
     def test_ideal_aligned_is_cdf_identity(self):
         p = kg_reference(4)
