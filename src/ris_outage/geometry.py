@@ -40,7 +40,9 @@ class GeometryConfig:
     sigma_o: orientation jitter std dev [rad]; d_x: mean x-offset [m].
 
     sigma_p and d_x*sigma_o enter the shape exponent in the same units as
-    the beamwidth; values are consumed exactly as given.
+    the beamwidth; values are consumed exactly as given.  DomainError
+    where the coherence length, beamwidth or jitter variance they give
+    leaves float range.
     """
 
     l2: float
@@ -70,6 +72,16 @@ class GeometryConfig:
             raise DomainError(f"alpha must be positive, got {self.alpha}")
         if self.sigma_p < 0 or self.sigma_o < 0:
             raise DomainError("jitter standard deviations must be >= 0")
+        # the one check of the derived beam quantities; beamwidth fails
+        # wherever the coherence length leaves float range
+        try:
+            in_range = 0.0 < beamwidth(self) < math.inf and _jitter(self) < math.inf
+        except (OverflowError, ZeroDivisionError):
+            in_range = False
+        if not in_range:
+            raise DomainError(
+                "coherence length, beamwidth or jitter variance leaves float range"
+            )
 
 
 @dataclass(frozen=True)
@@ -146,6 +158,11 @@ def beamwidth(g: GeometryConfig) -> float:
     return g.w_o * math.sqrt(1.0 + (1.0 + turb) * spread**2)
 
 
+def _jitter(g: GeometryConfig) -> float:
+    """Jitter variance 4 sigma_p^2 + 4 d_x^2 sigma_o^2 of the shape exponent."""
+    return 4.0 * g.sigma_p**2 + 4.0 * g.d_x**2 * g.sigma_o**2
+
+
 # largest v = (alpha / w) sqrt(pi / (2 rho)) for which exp(-v^2) is a
 # normal float
 _V_LIMIT = math.sqrt(709.0)
@@ -175,7 +192,7 @@ def misalignment_stats(g: GeometryConfig) -> MisalignmentStats:
 
     v_min = g.alpha / w * math.sqrt(math.pi / (2.0 * rho_min))
     v_max = g.alpha / w * math.sqrt(math.pi / (2.0 * rho_max))
-    jitter = 4.0 * g.sigma_p**2 + 4.0 * g.d_x**2 * g.sigma_o**2
+    jitter = _jitter(g)
     if jitter == 0.0:
         raise DegenerateJitter(
             "4 sigma_p^2 + 4 d_x^2 sigma_o^2 = 0: shape exponent undefined; "

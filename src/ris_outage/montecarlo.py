@@ -1,11 +1,15 @@
 """Monte Carlo oracle: full per-snapshot channel simulation.
 
-Samples are generated in fixed-size chunks, each chunk owning an
-independent random stream derived from (seed, chunk_index), so estimates
-are a pure function of the inputs and the seed: worker count and
-scheduling never change the result.  The chunks are the only unit of
-parallelism: numpy's samplers release the interpreter lock, so worker
-threads overlap there.
+simulate_curve is the one sampler and counter: its count closure draws
+every snapshot and counts the threshold crossings of every point.
+simulate_op is simulate_curve on a one-point curve, and simulate_cdf is
+simulate_curve on the points (mis, ideal hardware, gamma = 1, x^2), where
+the instantaneous SNR is the squared gain.  Samples are generated in
+fixed-size chunks, each chunk owning an independent random stream
+derived from (seed, chunk_index), so estimates are a pure function of
+the inputs and the seed: worker count and scheduling never change the
+result.  The chunks are the only unit of parallelism: numpy's samplers
+release the interpreter lock, so worker threads overlap there.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .fading import MGDistribution, _sample_mixture_sq
-from .geometry import MisalignmentStats, sample_hg
+from .fading import MGDistribution, sample_envelope
+from .geometry import MisalignmentStats
 from .outage import HardwareProfile
 
 __all__ = ["MCConfig", "MCEstimate", "simulate_op", "simulate_curve", "simulate_cdf"]
@@ -110,19 +114,6 @@ def _chunk_counts(
         return sum(pool.map(run, tasks))
 
 
-def _cascade_gain(
-    d1: MGDistribution,
-    d2: MGDistribution,
-    n_elements: int,
-    rng: np.random.Generator,
-    n: int,
-) -> np.ndarray:
-    """Per-snapshot cascade gains A = sum_i |h_i||g_i|."""
-    h = np.sqrt(_sample_mixture_sq(d1, rng, (n, n_elements)))
-    g = np.sqrt(_sample_mixture_sq(d2, rng, (n, n_elements)))
-    return (h * g).sum(axis=1)
-
-
 def _estimate(hits: int, n: int, elapsed: float) -> MCEstimate:
     p_hat = hits / n
     return MCEstimate(
@@ -152,16 +143,25 @@ def simulate_curve(
     point counts its threshold crossings on the same snapshots, so a curve
     whose event grows along the sweep gives non-decreasing estimates.
     Point j's estimate equals simulate_op at that point with the same cfg.
+    A point needs 0 < gamma < inf and gamma_th >= 0 (0 and inf allowed).
     """
     if n_elements < 1:
         raise ConfigError(f"n_elements must be >= 1, got {n_elements}")
     if not points:
         raise ConfigError("points is empty")
+    for _, _, gamma, gamma_th in points:
+        if not (0.0 < gamma < math.inf and gamma_th >= 0.0):
+            raise ConfigError(
+                f"a point needs 0 < gamma < inf and gamma_th >= 0, "
+                f"got gamma = {gamma!r}, gamma_th = {gamma_th!r}"
+            )
     start = time.perf_counter()
     misaligned = any(mis is not None for mis, _, _, _ in points)
 
     def count(rng: np.random.Generator, n: int) -> np.ndarray:
-        a = _cascade_gain(d1, d2, n_elements, rng, n)
+        h = sample_envelope(d1, rng, (n, n_elements))
+        g = sample_envelope(d2, rng, (n, n_elements))
+        a = (h * g).sum(axis=1)  # cascade gains A = sum_i |h_i||g_i|
         u = 1.0 - rng.random(size=n) if misaligned else None
         g2_of = {None: a * a}  # squared gain per distinct misalignment law
         hits = np.empty(len(points), dtype=np.int64)
@@ -203,26 +203,12 @@ def simulate_cdf(
     cfg: MCConfig,
 ) -> list[tuple[float, float, float]]:
     """Empirical CDF of A (or A_e2e when misaligned) on a grid, from one
-    shared sample set.  Returns (x, cdf_hat, stderr) per grid point."""
+    shared sample set.  Returns (x, cdf_hat, stderr) per grid point: with
+    ideal hardware at unit SNR gamma_u = A_e2e^2, so this is
+    simulate_curve at the thresholds x^2."""
     grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ConfigError("grid is empty")
-    if np.any(np.diff(grid) <= 0) or np.any(grid < 0):
+    if not (np.all(np.diff(grid) > 0) and np.all(grid >= 0)):
         raise ConfigError("grid must be strictly increasing and nonnegative")
-    if n_elements < 1:
-        raise ConfigError(f"n_elements must be >= 1, got {n_elements}")
-
-    def count(rng: np.random.Generator, n: int) -> np.ndarray:
-        gain = _cascade_gain(d1, d2, n_elements, rng, n)
-        if mis is not None:
-            gain = gain * sample_hg(mis, rng, n)
-        # bucket j counts samples with grid[j-1] < gain <= grid[j]
-        return np.bincount(np.searchsorted(grid, gain, side="left"), minlength=grid.size + 1)
-
-    n = cfg.samples
-    below = np.cumsum(_chunk_counts(cfg, count))[:-1]  # below[j] = count(gain <= grid[j])
-    out = []
-    for j, x in enumerate(grid):
-        p_hat = below[j] / n
-        out.append((float(x), float(p_hat), math.sqrt(p_hat * (1.0 - p_hat) / n)))
-    return out
+    points = [(mis, HardwareProfile(), 1.0, x * x) for x in grid]
+    estimates = simulate_curve(d1, d2, n_elements, points, cfg)
+    return [(float(x), est.op_hat, est.stderr) for x, est in zip(grid, estimates)]

@@ -31,7 +31,7 @@ from .outage import (
     op_exact,
     op_floor,
 )
-from .scenario import ScenarioFile
+from .scenario import ScenarioFile, _from_db
 
 __all__ = ["SweepRow", "evaluate_sweep", "derived_report", "CSV_HEADER"]
 
@@ -71,7 +71,7 @@ def _point_inputs(scn: ScenarioFile, value: float):
     geometry = scn.geometry
     gamma_th = scn.gamma_th
     if scn.sweep.variable == "gamma_over_gamma_th_db":
-        gamma = gamma_th * 10.0 ** (value / 10.0)
+        gamma = gamma_th * _from_db(value)
     else:
         gamma = scn.gamma
         if scn.sweep.variable == "gamma_th":

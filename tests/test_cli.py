@@ -316,6 +316,48 @@ class TestCli:
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "old,new,code",
+        [
+            # parsed values whose coherence length, beamwidth or jitter
+            # leaves float range
+            *[(f"{key} = {value}", f"{key} = {extreme}", 2)
+              for key, value in (("l2", "5.0"), ("w_o", "1e-3"), ("f", "100e9"),
+                                 ("cn2", "2.3e-9"))
+              for extreme in ("1e300", "1e-300")],
+            ("sigma_p = 0.05", "sigma_p = 1e300", 2),
+            ("sigma_o = 0.0  d_x = 0.0", "sigma_o = 1e300  d_x = 1.0", 2),
+            ("sigma_o = 0.0  d_x = 0.0", "sigma_o = 0.1  d_x = 1e300", 2),
+            # swept values: the same check at the sweep point
+            ("gamma_th = 1.0 }\nsweep { variable = gamma_over_gamma_th_db  start = -10  stop = 10",
+             "gamma_th = 1.0  gamma_db = 10 }\nsweep { variable = l2  start = 1  stop = 1e300", 3),
+            # 10^(1e5) overflows: gamma is infinite at the second point
+            ("stop = 10 ", "stop = 1e6 ", 3),
+        ],
+        ids=["l2-huge", "l2-tiny", "w_o-huge", "w_o-tiny", "f-huge", "f-tiny",
+             "cn2-huge", "cn2-tiny", "sigma_p-huge", "sigma_o-huge", "d_x-huge",
+             "swept-l2-huge", "swept-db-huge"],
+    )
+    @pytest.mark.parametrize("command", ["run", "report"])
+    def test_extreme_geometry_exit_code(self, tmp_path, capsys, command, old, new, code):
+        with open(os.path.join(SCENARIO_DIR, "misalignment_shape_sweep.scenario")) as fh:
+            text = fh.read()
+        assert old in text
+        scn = tmp_path / "extreme.scenario"
+        scn.write_text(text.replace(old, new, 1))
+        out = tmp_path / "out"
+        args = ["run", str(scn), "-o", str(out)] if command == "run" else ["report", str(scn)]
+        # report evaluates no sweep point, so a swept value cannot fail it
+        expected = 0 if command == "report" and code == 3 else code
+        assert run_cli(args) == expected
+        err = capsys.readouterr().err
+        if expected == 2:
+            assert err.startswith("scenario error: ") and "field 'geometry'" in err
+        elif expected == 3:
+            assert err.startswith("numeric failure: ") and "at sweep point" in err
+        assert err.count("\n") == (expected != 0)
+        assert not (out / "curve.csv").exists()
+
     @pytest.mark.parametrize("rate", ["1e4", "inf", "nan", "-1", "0"])
     def test_bad_rate_threshold_exit_code(self, tmp_path, capsys, rate):
         scn = os.path.join(SCENARIO_DIR, "aligned_elements.scenario")

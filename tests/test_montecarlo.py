@@ -180,6 +180,25 @@ class TestSimulateOp:
             simulate_op(d1, d2, 0, None, HardwareProfile(), 1.0, 1.0,
                         MCConfig(samples=100))
 
+    @pytest.mark.parametrize(
+        "gamma,gamma_th",
+        [(0.0, 1.0), (-1.0, 1.0), (math.inf, 1.0), (math.nan, 1.0),
+         (1.0, -1.0), (1.0, math.nan)],
+    )
+    def test_point_validation(self, gamma, gamma_th):
+        d = from_nakagami(1.0)
+        with pytest.raises(ConfigError):
+            simulate_op(d, d, 1, None, HardwareProfile(), gamma, gamma_th,
+                        MCConfig(samples=100))
+
+    def test_threshold_bounds_allowed(self):
+        # simulate_cdf maps its grid points x = 0 and x = inf here
+        d = from_nakagami(1.0)
+        ests = simulate_curve(d, d, 1, [(None, HardwareProfile(), 1.0, 0.0),
+                                        (None, HardwareProfile(), 1.0, math.inf)],
+                              MCConfig(samples=1000))
+        assert [e.op_hat for e in ests] == [0.0, 1.0]
+
     def test_throughput_roughly_linear(self):
         # performance guard, deliberately loose
         d1, d2 = from_nakagami(1.0), from_rice(1.0, 20)
@@ -260,3 +279,18 @@ class TestSimulateCdf:
             simulate_cdf(d, d, 1, None, [1.0, 0.5], MCConfig(samples=1000, seed=0))
         with pytest.raises(ConfigError):
             simulate_cdf(d, d, 1, None, [], MCConfig(samples=1000, seed=0))
+        for grid in ([math.nan], [1.0, math.nan]):
+            with pytest.raises(ConfigError):
+                simulate_cdf(d, d, 1, None, grid, MCConfig(samples=1000, seed=0))
+
+    def test_worker_invariance(self):
+        d1, d2 = from_nakagami(1.0), from_rice(RICE_5DB, 20)
+        s = make_stats(0.55, 3.5)
+        grid = np.linspace(0.0, 8.0, 37)
+        results = {
+            w: simulate_cdf(d1, d2, 4, s, grid,
+                            MCConfig(samples=50_000, seed=8, chunk_size=8192, workers=w))
+            for w in (1, 2, 8)
+        }
+        assert results[1] == results[2] == results[8]
+        assert 0.0 < results[1][18][1] < 1.0
