@@ -276,12 +276,18 @@ def _cdf_A_quadrature(p: KGParams, x: float) -> float:
 
 
 def _signed_logsum(terms: list[tuple[float, float]]) -> tuple[float, float]:
-    """Sum of sign*exp(log) contributions in log space -> (sign, log|sum|)."""
-    finite = [(s, l) for s, l in terms if s != 0.0 and l != -math.inf]
-    if not finite:
+    """Sum of sign*exp(log) contributions in log space -> (sign, log|sum|).
+    Terms at log = +inf decide the sum alone: (sign, inf) where they share
+    a sign, else the indeterminate (0.0, nan), which callers treat like a
+    zero sum."""
+    nonzero = [(s, l) for s, l in terms if s != 0.0 and l != -math.inf]
+    if not nonzero:
         return 0.0, -math.inf
-    lmax = max(l for _, l in finite)
-    acc = sum(s * math.exp(l - lmax) for s, l in finite)
+    lmax = max(l for _, l in nonzero)
+    if lmax == math.inf:
+        signs = {math.copysign(1.0, s) for s, l in nonzero if l == lmax}
+        return (signs.pop(), math.inf) if len(signs) == 1 else (0.0, math.nan)
+    acc = sum(s * math.exp(l - lmax) for s, l in nonzero)
     if acc == 0.0:
         return 0.0, -math.inf
     return math.copysign(1.0, acc), lmax + math.log(abs(acc))

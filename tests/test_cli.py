@@ -278,6 +278,21 @@ class TestCli:
         assert proc.stderr.count("\n") == 1, proc.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_subnormal_beam_factor_leaves_stderr_empty(self, tmp_path):
+        # alpha = 1e-154 makes B_o subnormal: the expansion's log terms
+        # overflow with both signs, which is out of regime, not an error
+        with open(os.path.join(SCENARIO_DIR, "misalignment_shape_sweep.scenario")) as fh:
+            text = fh.read()
+        scn = tmp_path / "subnormal.scenario"
+        scn.write_text(text.replace("alpha = 0.1", "alpha = 1e-154", 1))
+        out = tmp_path / "out"
+        proc = subprocess.run([sys.executable, "-m", "ris_outage.cli", "run", str(scn),
+                               "-o", str(out)], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0 and proc.stderr == ""
+        rows = (out / "curve.csv").read_text().splitlines()[1:]
+        assert len(rows) == 11
+        assert all(row.endswith(",1,,,,,asymptote_undefined;floor_undefined") for row in rows)
+
     @pytest.mark.parametrize(
         "old,new,field",
         [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.special as sc
 from scipy.integrate import quad
-from scipy.stats import kstest
+from scipy.stats import ks_2samp, kstest
 
 from conftest import sample_rice_exact
 from ris_outage import (
@@ -202,6 +202,43 @@ class TestSampling:
             target = envelope_moment(d, n)
             stderr = np.std(x**n) / math.sqrt(x.size)
             assert abs(np.mean(x**n) - target) <= 4.0 * stderr
+
+    def test_rice_k_set_only_where_mixture_is_rice(self):
+        # 20 terms drop 9.7e-10 of the Rice law at 5.4 dB, 1.4e-9 at 5.5 dB
+        assert from_rice(10.0**0.54, 20).rice_k == 10.0**0.54
+        assert from_rice(RICE_5DB, 20).rice_k == RICE_5DB
+        for d in (from_rice(10.0**0.55, 20), from_rice(10.0, 20), from_rice(0.0, 20),
+                  from_nakagami(1.0)):
+            assert d.rice_k is None
+        # a law built by hand never draws Rice, and rice_k is not compared
+        d = from_rice(RICE_5DB, 20)
+        twin = MGDistribution(terms=d.terms, rate=d.rate, label=d.label)
+        assert twin.rice_k is None and twin == d and hash(twin) == hash(d)
+        with pytest.raises(TypeError):
+            MGDistribution(terms=d.terms, rate=d.rate, rice_k=RICE_5DB)
+
+    def test_rice_draw_against_exact_rice(self):
+        d = from_rice(RICE_5DB, 20)
+        x = sample_envelope(d, np.random.default_rng(6), size=(500, 400))
+        ref = sample_rice_exact(RICE_5DB, np.random.default_rng(7), 200_000)
+        assert x.shape == (500, 400)
+        assert ks_2samp(x.ravel(), ref).pvalue > 1e-3
+
+    def test_mixture_draw_moments(self):
+        # 7 dB at 20 terms drops 3.6e-7: the truncated mixture is drawn
+        d = from_rice(10.0**0.7, 20)
+        assert d.rice_k is None
+        x = sample_envelope(d, np.random.default_rng(4), size=1_000_000)
+        for n in (1, 2, 4):
+            target = envelope_moment(d, n)
+            stderr = np.std(x**n) / math.sqrt(x.size)
+            assert abs(np.mean(x**n) - target) <= 4.0 * stderr
+
+    @pytest.mark.parametrize("d", [from_rice(RICE_5DB, 20), from_rice(10.0**0.7, 20),
+                                   from_nakagami(2.0)], ids=["rice", "mixture", "nakagami"])
+    def test_scalar_draw_is_float(self, d):
+        x = sample_envelope(d, np.random.default_rng(8))
+        assert type(x) is float and x > 0.0
 
     def test_deterministic_under_seed(self):
         d = from_rice(1.0, 20)

@@ -233,6 +233,21 @@ class TestSimulateCurve:
         assert ops[0] > 0.0
         assert all(b <= a for a, b in zip(ops, ops[1:]))
 
+    def test_worker_invariance_at_default_chunk_size(self):
+        # 65536 + 123 samples are 9 chunks of the default 8192: workers
+        # 1, 2 and 8 split them differently and must count the same
+        d1, d2 = from_nakagami(1.0), from_rice(RICE_5DB, 20)
+        s = make_stats(0.55, 3.5)
+        points = [(s, HardwareProfile(), gamma, 1.0) for gamma in (3.0, 10.0, 30.0)]
+        results = {
+            w: [(e.op_hat, e.stderr, e.n) for e in simulate_curve(
+                d1, d2, 4, points, MCConfig(samples=65536 + 123, seed=3, workers=w))]
+            for w in (1, 2, 8)
+        }
+        assert MCConfig(samples=1).chunk_size == 8192
+        assert results[1] == results[2] == results[8]
+        assert all(0.0 < op < 1.0 for op, _, _ in results[1])
+
     def test_empty_points(self):
         d = from_nakagami(1.0)
         with pytest.raises(ConfigError):

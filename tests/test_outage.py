@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from ris_outage import (
     op_exact,
     op_floor,
 )
+from ris_outage.cascade import _signed_logsum
 
 RICE_5DB = 10.0 ** 0.5
 
@@ -184,6 +186,21 @@ class TestOpAsymptotic:
         assert 0.0 < op_exact(sc) < 1.0
         with pytest.raises(AsymptoteOutOfRegime):
             op_asymptotic(sc)
+
+    def test_overflowed_terms_out_of_regime(self):
+        # a subnormal B_o sends the expansion's log terms to +inf with both
+        # signs: the sum is indeterminate, out of regime, and warns nothing
+        terms = [(-1.0, np.float64(math.inf)), (1.0, np.float64(math.inf)), (1.0, 2.0)]
+        sign, logmag = _signed_logsum(terms)
+        assert sign == 0.0 and math.isnan(logmag)
+        assert _signed_logsum([(1.0, math.inf), (-1.0, 3.0)]) == (1.0, math.inf)
+        assert _signed_logsum([(-1.0, math.inf), (1.0, 0.0)]) == (-1.0, math.inf)
+        sc = OutageScenario(kg=kg_reference(16), hw=HardwareProfile(), gamma=10.0,
+                            gamma_th=1.0, mis=make_stats(5.4e-310, 4174.8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AsymptoteOutOfRegime):
+                op_asymptotic(sc)
 
 
 class TestOpFloor:
