@@ -186,26 +186,6 @@ _TAIL = 1e-17
 _PANEL_SCALE = (9.0, 6.5)
 
 
-def _panels(lo, hi, n_panels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """24-point Gauss-Legendre rule in log v on n_panels[i] geometric
-    panels spanning [lo[i], hi[i]], for every row i.
-
-    Returns the flat nodes, their weights (for dv) and their row index.
-    """
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    log_lo = np.log(lo)
-    log_hi = np.log(np.broadcast_to(np.asarray(hi, dtype=float), lo.shape))
-    n = np.broadcast_to(np.asarray(n_panels, dtype=np.int64), lo.shape)
-    row = np.repeat(np.arange(lo.size), n)
-    first = np.cumsum(n) - n
-    j = np.arange(row.size) - first[row]
-    half = (0.5 * (log_hi - log_lo) / n)[row]
-    mid = log_lo[row] + (2 * j + 1) * half
-    nodes = np.exp(mid[:, None] + half[:, None] * _GL_NODES)
-    weights = half[:, None] * _GL_WEIGHTS * nodes
-    return nodes.ravel(), weights.ravel(), np.repeat(row, _GL_NODES.size)
-
-
 def _x_upper(p: KGParams, q: float = 1e-18) -> float:
     """x beyond which 1 - F_A(x) < 2q (union bound on the Gamma factors)."""
     return math.sqrt(sc.gammainccinv(p.k_a, q) * sc.gammainccinv(p.m_a, q)) / p.xi
@@ -215,36 +195,36 @@ def _panels_per_log(p: KGParams, fine: bool) -> float:
     return max(0.15, math.sqrt(p.k_a + p.m_a) / _PANEL_SCALE[fine])
 
 
-def _cdf_A_quad_value(p: KGParams, x, per_log: float) -> np.ndarray:
-    """F_A at every abscissa of x > 0 as E_V[P(k_a, s/V)], s = (xi x)^2.
+def _cdf_A_quad_value(p: KGParams, x: float, per_log: float) -> float:
+    """F_A(x), x > 0, as E_V[P(k_a, s/V)], s = (xi x)^2.
 
     Below eps = s / Q_k (Q_k the 1e-18 upper quantile of Gamma(k_a)) the
     inner P is 1 - O(1e-18), so that head is P(m_a, eps) in closed form.
-    Above min(Q_m, v_cut) the V-integral is dropped: with P(k, y) <=
+    Above top = min(Q_m, v_cut) the V-integral is dropped: with P(k, y) <=
     y^k / Gamma(k+1) and F_A >= P(m_a, s/k_a) / 2, the part beyond v_cut
-    is below _TAIL F_A.  Each row gets ceil(per_log log(top/eps)) panels.
+    is below _TAIL F_A.  In between, ceil(per_log log(top/eps)) geometric
+    panels carry the 24-point Gauss-Legendre rule in log v.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     k, m = p.k_a, p.m_a
     s = (p.xi * x) ** 2
     eps = s / sc.gammainccinv(k, 1e-18)
-    top = np.full_like(s, sc.gammainccinv(m, 1e-18))
+    top = sc.gammainccinv(m, 1e-18)
     if k - m > 1e-3:  # the bound divides by k_a - m_a
         log_cut = np.log(s) + (
             s / k - math.log(0.5 * _TAIL) + m * math.log(k) - math.log(m)
             - math.lgamma(k + 1.0) - math.log(k - m)
         ) / (k - m)
-        top = np.minimum(top, np.exp(np.minimum(log_cut, 700.0)))
+        top = min(top, np.exp(min(log_cut, 700.0)))
     out = sc.gammainc(m, eps)  # the head
-    open_ = np.flatnonzero(top > eps)
-    if open_.size:
-        lo, hi = eps[open_], top[open_]
-        n = np.maximum(np.ceil(per_log * np.log(hi / lo)), 1.0)
-        v, w, row = _panels(lo, hi, n)
+    if top > eps:
+        n = max(math.ceil(per_log * np.log(top / eps)), 1)
+        half = 0.5 * (np.log(top) - np.log(eps)) / n
+        mid = np.log(eps) + (2 * np.arange(n) + 1) * half
+        v = np.exp(mid[:, None] + half * _GL_NODES)
         dens = np.exp((m - 1.0) * np.log(v) - v - sc.gammaln(m))
-        vals = w * sc.gammainc(k, s[open_][row] / v) * dens
-        out[open_] += np.bincount(row, weights=vals, minlength=open_.size)
-    return np.minimum(out, 1.0)
+        vals = half * _GL_WEIGHTS * v * sc.gammainc(k, s / v) * dens
+        out += vals.sum()
+    return float(min(out, 1.0))
 
 
 def _self_checked(route: str, x: float, rule, rel: float) -> float:
@@ -270,7 +250,7 @@ def _cdf_A_quadrature(p: KGParams, x: float) -> float:
         return 1.0
     return _self_checked(
         "cdf_A", x,
-        lambda fine: float(_cdf_A_quad_value(p, x, _panels_per_log(p, fine))[0]),
+        lambda fine: _cdf_A_quad_value(p, x, _panels_per_log(p, fine)),
         rel=5e-11,
     )
 
@@ -548,17 +528,16 @@ def cdf_Ae2e(p: KGParams, s: MisalignmentStats, x: float) -> float:
     return math.exp(_log_cdf(p, s, x))
 
 
-# The end-to-end twins integrate over L = log of the inner argument x/y.
+# The end-to-end density integrates over L = log of the inner argument x/y.
 # With t = (y/B_o)^zeta uniform on (0, 1], t = exp(zeta (L_c - L)) for
-# L_c = log(x/B_o), so both become integrals against the weight
+# L_c = log(x/B_o), so it is an integral against the weight
 # zeta exp(zeta (L_c - L)) dL on [L_c, L_top]:
-#   F(x) = t_top + int F_A(e^L) weight dL,   t_top = exp(zeta (L_c - L_top))
 #   f(x) = (1/x) int f_A(e^L) e^L weight dL.
 # The fixed rule puts Gauss-Legendre segments on [L_c, L_top] graded
 # geometrically away from L_c (where the weight falls on the scale
-# 1/zeta) and from the mean of log A (the knee of F_A, on the scale of
+# 1/zeta) and from the mean of log A (the knee of f_A, on the scale of
 # the standard deviation of log A).  Nodes per segment of the coarse and
-# of the fine rule (whose inner rules are the coarse and fine V-panels):
+# of the fine rule:
 _E2E_NODES = (12, 16)
 # segments start at this many weight scales 1/zeta and knee scales
 _E2E_WEIGHT_STEP = 4.0
@@ -567,25 +546,23 @@ _E2E_KNEE_STEP = 1.0
 # beyond it the weight has fallen by e^-50, and the integrand near the
 # lower of the two carries at least (1 - 1/e)/e of its weight there
 # (log A has a log-concave density, so P(log A <= its mean) >= 1/e).
-# Both integrands have log-slope <= 2 m_a - zeta, so for zeta >= 4 m_a
-# everything beyond L_c + _E2E_MARGIN / (zeta - 2 m_a), head included, is
-# below e^-50 zeta / (zeta - 2 m_a) <= 2e-22 of the value near L_c.
+# The integrand has log-slope <= 2 m_a - zeta, so for zeta >= 4 m_a
+# everything beyond L_c + _E2E_MARGIN / (zeta - 2 m_a) is below
+# e^-50 zeta / (zeta - 2 m_a) <= 2e-22 of the value near L_c.
 _E2E_MARGIN = 50.0
 
 
 def _e2e_nodes(
     p: KGParams, s: MisalignmentStats, x: float, n_nodes: int
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """(z = e^L nodes, weights including zeta exp(zeta (L_c - L)), t_top)
-    of the outer rule; see the comment above _E2E_NODES."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(e^L nodes, weights); see the comment above _E2E_NODES."""
     zeta = s.zeta
     l_c = math.log(x / s.b_o)
     mean = 0.5 * float(sc.digamma(p.k_a) + sc.digamma(p.m_a)) - math.log(p.xi)
     std = 0.5 * math.sqrt(float(sc.polygamma(1, p.k_a) + sc.polygamma(1, p.m_a)))
     l_top = min(math.log(_x_upper(p)), max(l_c, mean) + _E2E_MARGIN / zeta)
-    t_top = math.exp(zeta * (l_c - l_top))
-    if zeta >= 4.0 * p.m_a and l_c + _E2E_MARGIN / (zeta - 2.0 * p.m_a) < l_top:
-        l_top, t_top = l_c + _E2E_MARGIN / (zeta - 2.0 * p.m_a), 0.0
+    if zeta >= 4.0 * p.m_a:
+        l_top = min(l_top, l_c + _E2E_MARGIN / (zeta - 2.0 * p.m_a))
     centres = [(l_c, _E2E_WEIGHT_STEP / zeta)]
     if mean < l_top:
         centres.append((mean, _E2E_KNEE_STEP * std))
@@ -600,31 +577,27 @@ def _e2e_nodes(
     half = 0.5 * np.diff(edges)[:, None]
     ell = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half * g
     weights = (half * gw).ravel() * zeta * np.exp(zeta * (l_c - ell.ravel()))
-    return np.exp(ell.ravel()), weights, t_top
-
-
-def _cdf_Ae2e_rule(p: KGParams, s: MisalignmentStats, x: float, fine: bool) -> float:
-    """The fixed tensor-product rule for F_{A_e2e}(x): the outer rule over
-    L times the inner V-integral of F_A at every outer node, in one call."""
-    z, w, t_top = _e2e_nodes(p, s, x, _E2E_NODES[fine])
-    inner = _cdf_A_quad_value(p, z, _panels_per_log(p, fine))
-    return t_top + float(np.dot(w, inner))
+    return np.exp(ell.ravel()), weights
 
 
 def _pdf_Ae2e_rule(p: KGParams, s: MisalignmentStats, x: float, fine: bool) -> float:
     """The fixed rule for f_{A_e2e}(x): one vectorised pdf_A call."""
-    z, w, _ = _e2e_nodes(p, s, x, _E2E_NODES[fine])
+    z, w = _e2e_nodes(p, s, x, _E2E_NODES[fine])
     return float(np.dot(w, pdf_A(p, z) * z)) / x
 
 
-def cdf_Ae2e_quadrature(p: KGParams, s: MisalignmentStats, x: float) -> float:
-    """Defining integral F(x) = int_0^{B_o} F_A(x/y) f_{h_g}(y) dy.
+def _cdf_Ae2e_rule(p: KGParams, s: MisalignmentStats, x: float, fine: bool) -> float:
+    """F_A(x/B_o) + (x/zeta) f_{A_e2e}(x) by the fixed rules of both."""
+    head = _cdf_A_quad_value(p, x / s.b_o, _panels_per_log(p, fine))
+    return head + x / s.zeta * _pdf_Ae2e_rule(p, s, x, fine)
 
-    Substituting y = B_o t^(1/zeta) absorbs the power-law weight exactly
-    (t is the CDF of the loss, uniform on (0,1]).  A fixed tensor-product
-    Gauss-Legendre rule over (log(x/y), V) gives the value once its coarse
-    and fine versions agree within max(1e-13, 1e-9 F); otherwise it
-    raises NoConvergence.
+
+def cdf_Ae2e_quadrature(p: KGParams, s: MisalignmentStats, x: float) -> float:
+    """Defining integral F(x) = int_0^{B_o} F_A(x/y) f_{h_g}(y) dy, taken
+    as F_A(x/B_o) + (x/zeta) f_{A_e2e}(x): two nonnegative parts, so
+    nothing cancels (derivation in docs/e2e_cdf_series.md).  The sum
+    gives the value once its coarse and fine rules agree within
+    max(1e-13, 1e-9 F); otherwise it raises NoConvergence.
     """
     if x < 0:
         raise DomainError(f"cdf_Ae2e_quadrature requires x >= 0, got {x}")
@@ -643,11 +616,11 @@ def pdf_Ae2e(p: KGParams, s: MisalignmentStats, x: float) -> float:
     integral: f(x) = (zeta/x) int_{x/B_o}^inf f_A(v) (v B_o / x)^(-zeta) dv.
 
     The power factor is bounded by 1 on the integration range, so the
-    integrand is smooth and overflow-free.  The fixed rule of
-    cdf_Ae2e_quadrature over log v gives the value once its coarse and
-    fine versions agree within max(1e-13, 1e-9 f); otherwise it raises
-    NoConvergence.  For large zeta the loss concentrates at B_o and the
-    rule's range narrows onto x/B_o (the zeta >= 4 m_a cut of _e2e_nodes).
+    integrand is smooth and overflow-free.  The fixed rule over log v
+    gives the value once its coarse and fine versions agree within
+    max(1e-13, 1e-9 f); otherwise it raises NoConvergence.  For large
+    zeta the loss concentrates at B_o and the rule's range narrows onto
+    x/B_o (the zeta >= 4 m_a cut of _e2e_nodes).
     """
     if x <= 0:
         raise DomainError(f"pdf_Ae2e requires x > 0, got {x}")

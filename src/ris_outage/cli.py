@@ -91,7 +91,9 @@ def _selftest(out=sys.stdout) -> int:
         check(f"dual-path cdf_Ae2e (N={n})", worst_e < 1e-6, f"max abs diff {worst_e:.2e}")
 
     # differences the quadrature twin: h = 1e-4 would amplify the ~1e-10
-    # error of the series at x = 0.5 sqrt(omega_a) ~5000x, to the bound
+    # error of the series at x = 0.5 sqrt(omega_a) ~5000x, to the bound.
+    # The twin is F_A(x/B_o) + (x/zeta) pdf_Ae2e(x), so this checks
+    # F_A' = f_A (_cdf_A_quadrature against pdf_A) through that identity
     d1, d2, n = configs[0]
     kg = moment_match(d1, d2, n)
     worst = 0.0

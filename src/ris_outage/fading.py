@@ -230,11 +230,13 @@ def sample_envelope(
     Z1, Z2, taken from one standard_normal((2, *size)) and formed in place
     (square-and-add: np.hypot costs ~5x more).  This is ~2x cheaper than
     the mixture draw, and the truncation it ignores is below 1e-9.  A
-    single-term law (Nakagami) draws its Gamma directly.  Any other law
-    picks a component by weight, draws the squared envelope from
-    Gamma(b_m, rate) and takes its square root.  Monte Carlo draws
-    (chunk, N) envelopes per hop at a time, 8192 x N by default, so that
-    a chunk's arrays stay near 1 MB (see montecarlo.MCConfig).
+    single-term law (Nakagami) draws its Gamma directly, at shape 1 as
+    standard_exponential: the draws and generator state of
+    standard_gamma(1.0), for less.  Any other law picks a component by
+    weight, draws the squared envelope from Gamma(b_m, rate) and takes
+    its square root.  Monte Carlo draws (chunk, N) envelopes per hop at a
+    time, 8192 x N by default, so that a chunk's arrays stay near 1 MB
+    (see montecarlo.MCConfig).
     """
     if d.rice_k is not None:
         dims = () if size is None else tuple(np.atleast_1d(size))
@@ -245,7 +247,9 @@ def sample_envelope(
         sq += z[1]
         sq /= 2.0 * d.rate
     elif len(d.terms) == 1:
-        sq = rng.standard_gamma(d.terms[0][1], size=size) / d.rate
+        b = d.terms[0][1]
+        g = rng.standard_exponential(size) if b == 1.0 else rng.standard_gamma(b, size)
+        sq = g / d.rate
     else:
         idx = rng.choice(len(d.weights), size=size, p=d.weights)
         sq = rng.gamma(shape=d.shapes[idx], scale=1.0 / d.rate)

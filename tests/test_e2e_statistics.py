@@ -528,6 +528,24 @@ class TestFixedRules:
             deriv = (cdf_Ae2e(p, s, x * (1 + h)) - cdf_Ae2e(p, s, x * (1 - h))) / (2 * h * x)
             assert pdf_Ae2e(p, s, x) == pytest.approx(deriv, rel=1e-6, abs=0.0), level
 
+    @pytest.mark.parametrize(
+        "p,zeta",
+        [c for c in _fixed_rule_cases()
+         if c.id in ("integer-zeta0.5", "integer-zeta3.43", "integer-zeta40", "N4-pole")],
+    )
+    def test_quadrature_matches_defining_t_integral(self, p, zeta):
+        # where no series exists: F = int_0^1 F_A(x / (B_o t^(1/zeta))) dt,
+        # with t = (y/B_o)^zeta uniform, against the rule's
+        # F_A(x/B_o) + (x/zeta) f(x)
+        s = make_stats(0.6, zeta)
+        for frac in (0.02, 0.1, 0.5, 1.0):
+            x = frac * s.b_o * math.sqrt(p.omega_a)
+            ref, _ = quad(
+                lambda t: _cdf_A_quadrature(p, x / (s.b_o * t ** (1.0 / zeta))),
+                0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=200,
+            )
+            assert cdf_Ae2e_quadrature(p, s, x) == pytest.approx(ref, rel=1e-9, abs=0.0), frac
+
     @pytest.mark.parametrize("fine", [False, True])
     def test_failed_self_check_raises(self, monkeypatch, fine):
         p = kg_reference(4)

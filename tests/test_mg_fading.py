@@ -240,6 +240,22 @@ class TestSampling:
         x = sample_envelope(d, np.random.default_rng(8))
         assert type(x) is float and x > 0.0
 
+    @pytest.mark.parametrize("d", [from_nakagami(1.0), from_nakagami(1.0, 2.5), from_rice(0.0)],
+                             ids=["rayleigh", "rayleigh-omega", "rice-k0"])
+    @pytest.mark.parametrize("size", [None, 1, 7, (100, 16), (8192, 4), (3, 5, 2)])
+    def test_shape_one_draw_is_the_gamma_draw(self, d, size):
+        # the exponential draw of a shape-1 law repeats standard_gamma(1.0)
+        # value for value and leaves the generator where it would
+        assert d.terms[0][1] == 1.0 and d.rice_k is None
+        for seed in range(5):
+            rng, ref = (np.random.Generator(np.random.Philox(seed)) for _ in range(2))
+            x = sample_envelope(d, rng, size)
+            y = np.sqrt(ref.standard_gamma(1.0, size) / d.rate)
+            y = y if np.ndim(y) else float(y)
+            assert type(x) is type(y) and np.array_equal(x, y)
+            assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+            assert np.array_equal(rng.random(4), ref.random(4))
+
     def test_deterministic_under_seed(self):
         d = from_rice(1.0, 20)
         a = sample_envelope(d, np.random.default_rng(99), size=1000)
