@@ -184,6 +184,8 @@ _TAIL = 1e-17
 # standard deviation ~ 1/sqrt(shape)); the coarse rule reaches ~1e-10
 # relative accuracy on F_A, the fine one ~1e-13
 _PANEL_SCALE = (9.0, 6.5)
+# log of the smallest normal double
+_LOG_TINY = math.log(np.finfo(float).tiny)
 
 
 def _x_upper(p: KGParams, q: float = 1e-18) -> float:
@@ -203,26 +205,32 @@ def _cdf_A_quad_value(p: KGParams, x: float, per_log: float) -> float:
     Above top = min(Q_m, v_cut) the V-integral is dropped: with P(k, y) <=
     y^k / Gamma(k+1) and F_A >= P(m_a, s/k_a) / 2, the part beyond v_cut
     is below _TAIL F_A.  In between, ceil(per_log log(top/eps)) geometric
-    panels carry the 24-point Gauss-Legendre rule in log v.
+    panels carry the 24-point Gauss-Legendre rule in log v.  s, eps, top
+    and the nodes are carried as logs, so an x whose s or eps underflows
+    keeps its value; below the normal range the head is its leading term
+    eps^m / Gamma(m+1).
     """
     k, m = p.k_a, p.m_a
-    s = (p.xi * x) ** 2
-    eps = s / sc.gammainccinv(k, 1e-18)
-    top = sc.gammainccinv(m, 1e-18)
+    log_s = 2.0 * (math.log(p.xi) + math.log(x))
+    log_eps = log_s - math.log(sc.gammainccinv(k, 1e-18))
+    log_top = math.log(sc.gammainccinv(m, 1e-18))
     if k - m > 1e-3:  # the bound divides by k_a - m_a
-        log_cut = np.log(s) + (
-            s / k - math.log(0.5 * _TAIL) + m * math.log(k) - math.log(m)
+        log_cut = log_s + (
+            math.exp(log_s) / k - math.log(0.5 * _TAIL) + m * math.log(k) - math.log(m)
             - math.lgamma(k + 1.0) - math.log(k - m)
         ) / (k - m)
-        top = min(top, np.exp(min(log_cut, 700.0)))
-    out = sc.gammainc(m, eps)  # the head
-    if top > eps:
-        n = max(math.ceil(per_log * np.log(top / eps)), 1)
-        half = 0.5 * (np.log(top) - np.log(eps)) / n
-        mid = np.log(eps) + (2 * np.arange(n) + 1) * half
-        v = np.exp(mid[:, None] + half * _GL_NODES)
-        dens = np.exp((m - 1.0) * np.log(v) - v - sc.gammaln(m))
-        vals = half * _GL_WEIGHTS * v * sc.gammainc(k, s / v) * dens
+        log_top = min(log_top, log_cut)
+    if log_eps > _LOG_TINY:  # the head
+        out = sc.gammainc(m, math.exp(log_eps))
+    else:
+        out = math.exp(m * log_eps - math.lgamma(m + 1.0))
+    if log_top > log_eps:
+        n = max(math.ceil(per_log * (log_top - log_eps)), 1)
+        half = 0.5 * (log_top - log_eps) / n
+        mid = log_eps + (2 * np.arange(n) + 1) * half
+        log_v = mid[:, None] + half * _GL_NODES
+        v_dens = np.exp(m * log_v - np.exp(log_v) - math.lgamma(m))  # v f_V(v)
+        vals = half * _GL_WEIGHTS * sc.gammainc(k, np.exp(log_s - log_v)) * v_dens
         out += vals.sum()
     return float(min(out, 1.0))
 
@@ -306,35 +314,48 @@ def _expansion_terms(
     return t0, branches
 
 
-def _series_result(
-    contributions: list[tuple[float, float]], log_peak: float
+def _log_series(
+    p: KGParams, mis: MisalignmentStats | None, x: float, w: float | None = None
 ) -> tuple[float, float, float]:
-    """(sign, log|sum|, cond) of a series whose largest intermediate or
-    partial magnitude is exp(log_peak)."""
+    """The one evaluator of the expansion, in log space: F_A (mis None) or
+    F_{A_e2e} at x, with u = x / B_o,
+
+      F_A(x) = sum_s C_s x^(2s) 1F2(s; 1+s, 1+s-o; w),
+      F(x)   = T0 + sum_s C_s u^(2s) [ 1F2(s; 1+s, 1+s-o; w)
+                 - (2s/(2s-zeta)) 1F2(s-zeta/2; 1+s-o, 1+s-zeta/2; w) ],
+
+    with T0 and C_s from _expansion_terms and w = (xi u)^2 unless given
+    (docs/e2e_cdf_series.md).  w = 0 sets every 1F2 to 1: the high-SNR
+    expansion.  Returns (sign, log|F|, cond), cond the ratio of the
+    largest intermediate or partial magnitude to |F|.
+    """
+    zeta = None if mis is None else mis.zeta
+    u = x if mis is None else x / mis.b_o
+    if w is None:
+        w = (p.xi * u) ** 2
+    t0, branches = _expansion_terms(p, u, zeta)
+    contributions = [] if t0 is None else [t0]
+    log_peak = -math.inf if t0 is None else t0[1]
+    for s, o, sign_c, lc in branches:
+        bracket, peak = _hyp1f2_diag(s, 1.0 + s, 1.0 + s - o, w)
+        if zeta is not None:
+            f_shift, pk_shift = _hyp1f2_diag(
+                s - zeta / 2.0, 1.0 + s - o, 1.0 + s - zeta / 2.0, w
+            )
+            ratio = 2.0 * s / (2.0 * s - zeta)
+            bracket -= ratio * f_shift
+            peak = max(peak, abs(ratio) * pk_shift, abs(bracket))
+        log_peak = max(log_peak, lc + math.log(peak))
+        if bracket != 0.0:
+            contributions.append(
+                (sign_c * math.copysign(1.0, bracket), lc + math.log(abs(bracket)))
+            )
     sign_total, log_total = _signed_logsum(contributions)
     if sign_total == 0.0:
         return 0.0, -math.inf, math.inf
+    if log_total == math.inf:  # overflowed terms: inf - inf below
+        return sign_total, log_total, math.inf
     return sign_total, log_total, math.exp(min(log_peak - log_total, 700.0))
-
-
-def _log_cdf_A_series(p: KGParams, x: float) -> tuple[float, float, float]:
-    """Two-branch series for F_A in log space,
-      F_A(x) = sum_s C_s x^(2s) 1F2(s; 1+s, 1+s-o; xi^2 x^2),
-    with C_s from _expansion_terms.  Returns (sign, log|F|, cond) where
-    cond bounds the cancellation amplification.
-    """
-    z = (p.xi * x) ** 2
-    _, branches = _expansion_terms(p, x)
-    contributions: list[tuple[float, float]] = []
-    log_peak = -math.inf
-    for s, o, sign_c, lc in branches:
-        f2, peak = _hyp1f2_diag(s, 1.0 + s, 1.0 + s - o, z)
-        if f2 != 0.0:
-            contributions.append(
-                (sign_c * math.copysign(1.0, f2), lc + math.log(abs(f2)))
-            )
-        log_peak = max(log_peak, lc + math.log(peak))
-    return _series_result(contributions, log_peak)
 
 
 def _is_degenerate_order(p: KGParams) -> bool:
@@ -381,9 +402,7 @@ def _log_cdf(p: KGParams, mis: MisalignmentStats | None, x: float) -> float:
     zeta = None if mis is None else mis.zeta
     if _series_defined(p, zeta) and (p.xi * x / b_o) ** 2 <= _SERIES_Z_LIMIT:
         try:
-            sign, logmag, cond = (
-                _log_cdf_A_series(p, x) if mis is None else _cdf_Ae2e_series(p, mis, x)
-            )
+            sign, logmag, cond = _log_series(p, mis, x)
             if sign > 0.0 and logmag <= 0.0 and cond < _COND_LIMIT:
                 return logmag
         except NoConvergence:
@@ -401,12 +420,6 @@ def cdf_A(p: KGParams, x: float) -> float:
     if x < 0:
         raise DomainError(f"cdf_A requires x >= 0, got {x}")
     return math.exp(_log_cdf(p, None, x))
-
-
-def log_cdf_A(p: KGParams, x: float) -> float:
-    """log F_A(x), routed like cdf_A; the series route keeps it finite in
-    the deep tail where F underflows (used for diversity slopes)."""
-    return _log_cdf(p, None, x)
 
 
 def pdf_A(p: KGParams, x) -> np.ndarray | float:
@@ -475,44 +488,6 @@ def _log_power_bessel(p: KGParams, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # end-to-end gain A_e2e = h_g * A
 # ---------------------------------------------------------------------------
-
-
-def _cdf_Ae2e_series(
-    p: KGParams, s: MisalignmentStats, x: float
-) -> tuple[float, float, float]:
-    """Five-term series for F_{A_e2e} in log space -> (sign, log|F|, cond).
-
-    Derived by integrating the two-branch expansion of F_A term by term
-    against the geometric-loss density (each term is a Beta-type
-    integral):
-
-      F(x) = T0 + sum_s C_s (x/B_o)^(2s) [ 1F2(s; 1+s, 1+s-o; w)
-                  - (2s/(2s-zeta)) 1F2(s-zeta/2; 1+s-o, 1+s-zeta/2; w) ]
-
-    with w = (xi x / B_o)^2, and T0 (the x^zeta term) and C_s from
-    _expansion_terms.  Dropping T0 breaks agreement with the defining
-    integral.
-    """
-    zeta = s.zeta
-    u = x / s.b_o
-    w = (p.xi * u) ** 2
-    t0, branches = _expansion_terms(p, u, zeta)
-    contributions = [t0]
-    log_peak = t0[1]
-    for sb, ob, sign_c, lc in branches:
-        f_main, pk_main = _hyp1f2_diag(sb, 1.0 + sb, 1.0 + sb - ob, w)
-        f_shift, pk_shift = _hyp1f2_diag(
-            sb - zeta / 2.0, 1.0 + sb - ob, 1.0 + sb - zeta / 2.0, w
-        )
-        ratio = 2.0 * sb / (2.0 * sb - zeta)
-        combined = f_main - ratio * f_shift
-        peak_here = max(pk_main, abs(ratio) * pk_shift, abs(combined))
-        log_peak = max(log_peak, lc + math.log(peak_here))
-        if combined != 0.0:
-            contributions.append(
-                (sign_c * math.copysign(1.0, combined), lc + math.log(abs(combined)))
-            )
-    return _series_result(contributions, log_peak)
 
 
 def cdf_Ae2e(p: KGParams, s: MisalignmentStats, x: float) -> float:

@@ -235,8 +235,8 @@ def sample_envelope(
     standard_gamma(1.0), for less.  Any other law picks a component by
     weight, draws the squared envelope from Gamma(b_m, rate) and takes
     its square root.  Monte Carlo draws (chunk, N) envelopes per hop at a
-    time, 8192 x N by default, so that a chunk's arrays stay near 1 MB
-    (see montecarlo.MCConfig).
+    time, 8192 x N, so that a chunk's arrays stay near 1 MB
+    (see montecarlo._CHUNK_SIZE).
     """
     if d.rice_k is not None:
         dims = () if size is None else tuple(np.atleast_1d(size))

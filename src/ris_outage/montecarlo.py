@@ -10,8 +10,8 @@ derived from (seed, chunk_index), so estimates are a pure function of
 the inputs and the seed: worker count and scheduling never change the
 result.  The chunks are the only unit of parallelism: numpy's samplers
 release the interpreter lock, so worker threads overlap there.  Chunks
-hold 8192 samples by default, so that even a 65536-sample curve keeps
-every worker busy (see MCConfig).
+hold _CHUNK_SIZE samples, so that even a 65536-sample curve keeps every
+worker busy.
 """
 
 from __future__ import annotations
@@ -35,31 +35,28 @@ __all__ = ["MCConfig", "MCEstimate", "simulate_op", "simulate_curve", "simulate_
 # one point of an outage curve: (mis, hw, gamma, gamma_th)
 CurvePoint = tuple[MisalignmentStats | None, HardwareProfile, float, float]
 
+# samples per chunk.  A 65536-sample curve splits into 8 chunks that every
+# worker shares, and a chunk's (chunk, N) float arrays take 1 MB at
+# N = 16, where 65536 took 8 MB.  On one worker 8192 drew as fast per
+# sample as 65536 or faster; 1024 was over 30% slower, from per-chunk
+# overhead.  Each chunk has its own (seed, chunk) stream, so this size
+# fixes the samples drawn; the worker count never changes them.
+_CHUNK_SIZE = 1 << 13
+
 
 @dataclass(frozen=True)
 class MCConfig:
-    """Sample count, stream seed, chunk size and worker threads.  With
+    """Sample count, stream seed and worker threads.  With
     workers="auto" the RIS_OUTAGE_THREADS environment variable, if set,
-    gives the worker count, else min(8, cpu count).
-
-    chunk_size is 8192 by default.  A 65536-sample curve then splits into
-    8 chunks that every worker shares, and a chunk's (chunk, N) float
-    arrays take 1 MB at N = 16, where 65536 took 8 MB.  On one worker it
-    drew as fast per sample as 65536 or faster; 1024 was over 30% slower
-    than 8192, from per-chunk overhead.  Each chunk has its own
-    (seed, chunk) stream, so chunk_size changes the samples drawn, but
-    the worker count never does."""
+    gives the worker count, else min(8, cpu count)."""
 
     samples: int
     seed: int = 0
-    chunk_size: int = 1 << 13
     workers: int | str = "auto"
 
     def __post_init__(self):
         if self.samples <= 0:
             raise ConfigError(f"samples must be positive, got {self.samples}")
-        if self.chunk_size <= 0:
-            raise ConfigError(f"chunk_size must be positive, got {self.chunk_size}")
         if self.workers != "auto" and not (isinstance(self.workers, int) and self.workers >= 1):
             raise ConfigError(f"workers must be 'auto' or an integer >= 1, got {self.workers!r}")
 
@@ -100,9 +97,9 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     )
 
 
-def _chunk_sizes(total: int, chunk: int) -> list[int]:
-    full, rem = divmod(total, chunk)
-    return [chunk] * full + ([rem] if rem else [])
+def _chunk_sizes(total: int) -> list[int]:
+    full, rem = divmod(total, _CHUNK_SIZE)
+    return [_CHUNK_SIZE] * full + ([rem] if rem else [])
 
 
 def _chunk_counts(
@@ -111,7 +108,7 @@ def _chunk_counts(
     """Sum over the chunks of cfg of count(rng, n), an integer array, with
     each chunk on its own stream.  Integer sums do not depend on the order
     in which the workers finish."""
-    tasks = list(enumerate(_chunk_sizes(cfg.samples, cfg.chunk_size)))
+    tasks = list(enumerate(_chunk_sizes(cfg.samples)))
     workers = min(cfg.resolved_workers(), len(tasks))
 
     def run(task) -> np.ndarray:

@@ -17,11 +17,11 @@ import numpy as np
 from .cascade import (
     KGParams,
     _expansion_terms,
+    _log_cdf,
+    _log_series,
     _series_defined,
-    _signed_logsum,
     cdf_A,
     cdf_Ae2e,
-    log_cdf_A,
 )
 from .errors import (
     AsymptoteOutOfRegime,
@@ -108,13 +108,12 @@ def op_exact(s: OutageScenario) -> float:
 
 
 def op_asymptotic(s: OutageScenario) -> float:
-    """High-SNR outage approximation: the series forms truncated by
-    replacing every 1F2 factor with its z -> 0 limit of 1.
+    """High-SNR outage approximation: the series of the exact CDF,
+    cascade._log_series, at w = 0, where every 1F2 factor is 1.
 
     Aligned case: sum over branches of C_b x^(2b).  Misaligned case: the
-    x^zeta term T0 plus sum over branches of -C_b x^(2b) zeta/(2b - zeta)
-    (all arguments scaled by B_o); T0 and C_b come from the expansion
-    behind the exact CDFs.  Raises DegenerateParameters where the
+    x^zeta term T0 plus sum over branches of C_b x^(2b) (1 - 2b/(2b - zeta))
+    (all arguments scaled by B_o).  Raises DegenerateParameters where the
     expansion is undefined, and AsymptoteOutOfRegime where the truncated
     sum is not a probability below 1 (far from the high-SNR regime).
     """
@@ -129,18 +128,7 @@ def op_asymptotic(s: OutageScenario) -> float:
             f" zeta = {zeta!r} (a pole of its coefficients)"
         )
     x = math.sqrt(eff / s.gamma)
-    if s.mis is None:
-        _, branches = _expansion_terms(p, x)
-        terms = [(sign, lc) for _, _, sign, lc in branches]
-    else:
-        t0, branches = _expansion_terms(p, x / s.mis.b_o, zeta)
-        terms = [t0]
-        for b, _, sign, lc in branches:
-            factor = -zeta / (2.0 * b - zeta)  # 1 - 2b/(2b - zeta)
-            terms.append(
-                (sign * math.copysign(1.0, factor), lc + math.log(abs(factor)))
-            )
-    sign, logmag = _signed_logsum(terms)
+    sign, logmag, _ = _log_series(p, s.mis, x, w=0.0)
     if sign <= 0.0 or logmag >= 0.0:
         raise AsymptoteOutOfRegime(
             f"high-SNR expansion is {'non-positive' if sign <= 0.0 else '>= 1'}"
@@ -205,6 +193,6 @@ def diversity_order(p: KGParams, empirical: bool = False) -> DiversityReport:
     logs = []
     for r_db in ratios_db:
         x = math.sqrt(10.0 ** (-r_db / 10.0))
-        logs.append(log_cdf_A(p, x) / math.log(10.0))
+        logs.append(_log_cdf(p, None, x) / math.log(10.0))
     slope = -np.polyfit(ratios_db / 10.0, logs, 1)[0]
     return DiversityReport(closed_form=closed, empirical_slope=float(slope))

@@ -137,7 +137,7 @@ _TYPED_BLOCKS = {
     "hardware": (HardwareProfile, {}),
     "sweep": (SweepSpec, {"variable": str, "points": _to_int}),
     "geometry": (GeometryConfig, {}),
-    "mc": (MCConfig, {"samples": _to_int, "seed": _to_int, "chunk_size": _to_int,
+    "mc": (MCConfig, {"samples": _to_int, "seed": _to_int,
                       "workers": lambda v: v if v == "auto" else _to_int(v)}),
 }
 # the factory and the keys of each hop kind, required key first; the

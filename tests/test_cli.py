@@ -218,6 +218,17 @@ class TestCli:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (out / "curve.csv").exists()
 
+    def test_chunk_size_is_not_a_key(self, tmp_path, capsys):
+        # the Monte Carlo chunk size is fixed in montecarlo._CHUNK_SIZE
+        scn = tmp_path / "chunk.scenario"
+        scn.write_text(MIXED_SIGMA_P_SWEEP.replace("seed = 11", "seed = 11  chunk_size = 8192"))
+        out = tmp_path / "out"
+        assert run_cli(["run", str(scn), "-o", str(out), "--mc"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown key 'chunk_size' (line 15, field 'mc.chunk_size')" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (out / "curve.csv").exists()
+
     def test_numeric_error_exit_code(self, tmp_path, capsys):
         text = MINIMAL.replace(
             "sweep { variable = gamma_over_gamma_th_db  start = 0  stop = 10  points = 3 }",
@@ -292,6 +303,23 @@ class TestCli:
         rows = (out / "curve.csv").read_text().splitlines()[1:]
         assert len(rows) == 11
         assert all(row.endswith(",1,,,,,asymptote_undefined;floor_undefined") for row in rows)
+
+    def test_threshold_sweep_below_float_square_root(self, tmp_path):
+        # x = sqrt(gamma_th / gamma) ~ 1e-160: (xi x)^2 underflows inside
+        # the fixed rule of F_A, which double Rayleigh (k_a = m_a) takes
+        text = MINIMAL.replace("kind = rice  k_r_db = 5.0  n_terms = 20", "kind = nakagami  m = 1.0")
+        text = text.replace("ris { n_elements = 4 }", "ris { n_elements = 1 }\nlink { gamma_db = 300 }")
+        text = text.replace("variable = gamma_over_gamma_th_db  start = 0  stop = 10  points = 3",
+                            "variable = gamma_th  start = 1e-290  stop = 1e-280  points = 5")
+        scn = tmp_path / "tiny.scenario"
+        scn.write_text(text)
+        out = tmp_path / "out"
+        proc = subprocess.run([sys.executable, "-m", "ris_outage.cli", "run", str(scn),
+                               "-o", str(out)], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        rows = [r.split(",") for r in (out / "curve.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 5
+        assert all(0.0 < float(r[1]) < 1e-300 for r in rows)
 
     @pytest.mark.parametrize(
         "old,new,field",

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -273,6 +274,24 @@ class TestCdfA:
                 got = cdf_A(p, x)
                 assert got == pytest.approx(ref, rel=1e-8, abs=0.0), (p.k_a, p.m_a, x)
 
+    @pytest.mark.parametrize(
+        "p",
+        [make_kg(0.6 + 3 + 2e-4, 0.6), make_kg(8.3, 0.55), kg_double_rayleigh()],
+        ids=["integer-band", "k8.3-m0.55", "double-rayleigh"],
+    )
+    def test_quadrature_where_s_underflows(self, p):
+        # below x ~ 1e-155 / xi, s = (xi x)^2 and eps = s / Q_k leave the
+        # normal range; the rule carries them as logs
+        for x in (1e-160, 1e-200):
+            ref = float(mp_cdf_A(p.k_a, p.m_a, p.xi, x))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _cdf_A_quadrature(p, x)
+            if ref >= 1e-300:
+                assert got == pytest.approx(ref, rel=1e-12, abs=0.0), x
+            else:  # subnormal or 0: no digits to check
+                assert 0.0 <= got <= 2.3e-308, x
+
     def test_monotone(self):
         p = kg_reference(4)
         xs = np.linspace(0.0, 4.0 * math.sqrt(p.omega_a), 1000)
@@ -330,6 +349,7 @@ class TestCdfAe2e:
 
     @pytest.mark.xfail(
         strict=True,
+        raises=AssertionError,  # not an oracle failure
         reason="the router keeps a series with cond 6.6e5 < _COND_LIMIT, "
         "~2e-10 off where the quadrature twin is right to ~1e-16",
     )
@@ -510,7 +530,7 @@ class TestFixedRules:
         checked = 0
         for level in FIXED_RULE_LEVELS[:-1]:
             x = _x_at(p, s, level)
-            sign, logmag, cond = cascade._cdf_Ae2e_series(p, s, x)
+            sign, logmag, cond = cascade._log_series(p, s, x)
             if not (sign > 0.0 and logmag <= 0.0 and cond < cascade._COND_LIMIT):
                 continue  # the router would not keep the series here
             checked += 1

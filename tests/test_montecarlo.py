@@ -22,6 +22,7 @@ from ris_outage import (
     simulate_curve,
     simulate_op,
 )
+from ris_outage import montecarlo
 from ris_outage.sweep import _point_inputs, evaluate_sweep
 
 RICE_5DB = 10.0 ** 0.5
@@ -244,7 +245,7 @@ class TestSimulateCurve:
                 d1, d2, 4, points, MCConfig(samples=65536 + 123, seed=3, workers=w))]
             for w in (1, 2, 8)
         }
-        assert MCConfig(samples=1).chunk_size == 8192
+        assert montecarlo._CHUNK_SIZE == 8192
         assert results[1] == results[2] == results[8]
         assert all(0.0 < op < 1.0 for op, _, _ in results[1])
 
@@ -304,7 +305,7 @@ class TestSimulateCdf:
         grid = np.linspace(0.0, 8.0, 37)
         results = {
             w: simulate_cdf(d1, d2, 4, s, grid,
-                            MCConfig(samples=50_000, seed=8, chunk_size=8192, workers=w))
+                            MCConfig(samples=50_000, seed=8, workers=w))
             for w in (1, 2, 8)
         }
         assert results[1] == results[2] == results[8]
