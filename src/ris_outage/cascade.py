@@ -25,7 +25,7 @@ import scipy.special as sc
 from .errors import DomainError, MomentMatchFailure, NoConvergence, OverflowGuard
 from .fading import MGDistribution, product_moment
 from .geometry import MisalignmentStats
-from .special import _hyp1f2_diag
+from .special import _hyp1f2_diag, _log_gen_k
 
 __all__ = [
     "KGParams",
@@ -44,12 +44,6 @@ _COND_LIMIT = 1e6
 # |k - m| (or zeta/2 - s) closer than this to an integer routes to the
 # quadrature path
 _DEGENERACY_BAND = 1e-3
-# the series is not tried beyond this argument.  Below it the cond check
-# decides the route; for the bundled laws cond passes _COND_LIMIT at
-# z ~ 22-92, so the limit only caps the work spent on a series that check
-# would reject.  Large shapes stay well conditioned past it (cond < 40 up
-# to z = 400 at (k_a, m_a) = (228.3, 64.1)) and take quadrature there.
-_SERIES_Z_LIMIT = 400.0
 
 
 @dataclass(frozen=True)
@@ -207,8 +201,9 @@ def _cdf_A_quad_value(p: KGParams, x: float, per_log: float) -> float:
     is below _TAIL F_A.  In between, ceil(per_log log(top/eps)) geometric
     panels carry the 24-point Gauss-Legendre rule in log v.  s, eps, top
     and the nodes are carried as logs, so an x whose s or eps underflows
-    keeps its value; below the normal range the head is its leading term
-    eps^m / Gamma(m+1).
+    keeps its value.  Below the normal range P(a, y) is its leading term
+    y^a / Gamma(a+1): for the head P(m_a, eps), and for the inner
+    P(k_a, s/v) of the nodes where s/v is that small.
     """
     k, m = p.k_a, p.m_a
     log_s = 2.0 * (math.log(p.xi) + math.log(x))
@@ -230,8 +225,12 @@ def _cdf_A_quad_value(p: KGParams, x: float, per_log: float) -> float:
         mid = log_eps + (2 * np.arange(n) + 1) * half
         log_v = mid[:, None] + half * _GL_NODES
         v_dens = np.exp(m * log_v - np.exp(log_v) - math.lgamma(m))  # v f_V(v)
-        vals = half * _GL_WEIGHTS * sc.gammainc(k, np.exp(log_s - log_v)) * v_dens
-        out += vals.sum()
+        log_y = log_s - log_v
+        inner = sc.gammainc(k, np.exp(log_y))
+        if log_s - log_top <= _LOG_TINY:  # s/v may leave the normal range
+            tiny = log_y <= _LOG_TINY
+            inner[tiny] = np.exp(k * log_y[tiny] - math.lgamma(k + 1.0))
+        out += (half * _GL_WEIGHTS * inner * v_dens).sum()
     return float(min(out, 1.0))
 
 
@@ -328,6 +327,11 @@ def _log_series(
     (docs/e2e_cdf_series.md).  w = 0 sets every 1F2 to 1: the high-SNR
     expansion.  Returns (sign, log|F|, cond), cond the ratio of the
     largest intermediate or partial magnitude to |F|.
+
+    Every 1F2 partial sum starts at 1, so a value F <= 1 has cond at least
+    the largest of |T0| and |C_s u^(2s)|.  Where w > 0 and that bound
+    reaches _COND_LIMIT, the 1F2 are not summed and the zero-sum result
+    (0.0, -inf, inf) is returned: _series_log would reject the sum anyway.
     """
     zeta = None if mis is None else mis.zeta
     u = x if mis is None else x / mis.b_o
@@ -336,6 +340,8 @@ def _log_series(
     t0, branches = _expansion_terms(p, u, zeta)
     contributions = [] if t0 is None else [t0]
     log_peak = -math.inf if t0 is None else t0[1]
+    if w > 0.0 and max(log_peak, *(b[3] for b in branches)) >= math.log(_COND_LIMIT):
+        return 0.0, -math.inf, math.inf
     for s, o, sign_c, lc in branches:
         bracket, peak = _hyp1f2_diag(s, 1.0 + s, 1.0 + s - o, w)
         if zeta is not None:
@@ -385,28 +391,34 @@ def _series_defined(p: KGParams, zeta: float | None = None) -> bool:
     )
 
 
+def _series_log(p: KGParams, mis: MisalignmentStats | None, x: float) -> float | None:
+    """log F(x), x > 0, by the series where the router keeps it: the
+    expansion is defined, sums without NoConvergence, and is a
+    probability with cond below _COND_LIMIT.  None otherwise.  This is
+    the one accept test of the series route."""
+    if not _series_defined(p, None if mis is None else mis.zeta):
+        return None
+    try:
+        sign, logmag, cond = _log_series(p, mis, x)
+    except NoConvergence:
+        return None
+    return logmag if sign > 0.0 and logmag <= 0.0 and cond < _COND_LIMIT else None
+
+
 def _log_cdf(p: KGParams, mis: MisalignmentStats | None, x: float) -> float:
     """log F(x) of A (mis None) or of A_e2e = h_g A: the one routing
-    decision between the series and the quadrature route.
-
-    The series is tried where it is defined and its argument
-    (xi x / B_o)^2 is at most _SERIES_Z_LIMIT, and kept only when it is a
-    probability with cond below _COND_LIMIT; otherwise, and on
-    NoConvergence, the quadrature twin gives the value.
+    decision between the series and the quadrature route.  The series
+    gives the value where _series_log keeps it; otherwise the quadrature
+    twin does.
     """
     if x <= 0.0:
         return -math.inf
     b_o = 1.0 if mis is None else mis.b_o
     if x >= b_o * _x_upper(p):
         return 0.0
-    zeta = None if mis is None else mis.zeta
-    if _series_defined(p, zeta) and (p.xi * x / b_o) ** 2 <= _SERIES_Z_LIMIT:
-        try:
-            sign, logmag, cond = _log_series(p, mis, x)
-            if sign > 0.0 and logmag <= 0.0 and cond < _COND_LIMIT:
-                return logmag
-        except NoConvergence:
-            pass
+    log_f = _series_log(p, mis, x)
+    if log_f is not None:
+        return log_f
     val = _cdf_A_quadrature(p, x) if mis is None else cdf_Ae2e_quadrature(p, mis, x)
     return math.log(val) if val > 0.0 else -math.inf
 
@@ -426,63 +438,21 @@ def pdf_A(p: KGParams, x) -> np.ndarray | float:
     """Density of the surrogate,
     4 xi^(k+m) / (Gamma(k) Gamma(m)) x^(k+m-1) K_(k-m)(2 xi x).
 
-    Assembled in log space through the scaled Bessel function
-    kve(v, y) = K_v(y) e^y; where kve overflows (large order, small
-    argument) the same closed form comes from _log_power_bessel.
+    Assembled in log space by special._log_gen_k, the generalized-K
+    kernel it shares with fading.product_pdf.
     """
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr <= 0):
         raise DomainError("pdf_A requires x > 0")
-    x1 = np.atleast_1d(x_arr)
-    y = 2.0 * p.xi * x1
     log_norm = (
         math.log(4.0)
         + (p.k_a + p.m_a) * math.log(p.xi)
         - sc.gammaln(p.k_a)
         - sc.gammaln(p.m_a)
     )
-    with np.errstate(over="ignore", divide="ignore"):
-        log_pdf = (
-            log_norm
-            + (p.k_a + p.m_a - 1.0) * np.log(x1)
-            + np.log(sc.kve(p.k_a - p.m_a, y))
-            - y
-        )
-    over = ~np.isfinite(log_pdf)
-    if np.any(over):
-        log_pdf[over] = log_norm + _log_power_bessel(p, x1[over])
+    log_pdf = _log_gen_k(log_norm, p.k_a, p.m_a, p.xi, np.atleast_1d(x_arr))
     out = np.exp(log_pdf).reshape(x_arr.shape)
     return out if out.ndim else float(out)
-
-
-def _log_power_bessel(p: KGParams, x: np.ndarray) -> np.ndarray:
-    """log(x^(k+m-1) K_nu(2 xi x)), nu = |k_a - m_a|, without overflow.
-
-    Forward recurrence K_(v+1) = K_(v-1) + (2v/y) K_v (DLMF 10.29.1)
-    from mu = frac(nu), where K_(mu-1) = K_(1-mu), run on the ratios
-    s = y K_(v+1) / K_v = y K_(v-1) / K_v + 2v.  K_nu is the dominant
-    solution, so the forward direction is stable, and every step adds
-    positive terms.  The y^n of the n = floor(nu) steps is merged with
-    x^(k+m-1) as x^(2 min(k, m) - 1 + mu) / (2 xi)^n; written through mu,
-    the exponent follows the rounded order, where k + m - 1 - n would be
-    off by the rounding of k - m times |log x|.
-    """
-    nu = abs(p.k_a - p.m_a)
-    n = math.floor(nu)
-    mu = nu - n
-    y = 2.0 * p.xi * x
-    k_mu = sc.kve(mu, y)
-    out = (
-        np.log(k_mu) - y
-        + (2.0 * min(p.k_a, p.m_a) - 1.0 + mu) * np.log(x)
-        - n * math.log(2.0 * p.xi)
-    )
-    q = y * sc.kve(1.0 - mu, y) / k_mu  # y K_(mu-1) / K_mu
-    for v in mu + np.arange(n):
-        s = q + 2.0 * v  # y K_(v+1) / K_v
-        out += np.log(s)
-        q = y * y / s
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import numpy as np
 import scipy.special as sc
 
 from .errors import DomainError, OverflowGuard
+from .special import _log_gen_k
 
 __all__ = [
     "MGDistribution",
@@ -152,7 +153,9 @@ def from_rice(k_r: float, n_terms: int = 20) -> MGDistribution:
 
 
 def envelope_pdf(d: MGDistribution, x) -> np.ndarray | float:
-    """Density of the envelope at x >= 0 (vectorized)."""
+    """Density of the envelope at x >= 0 (vectorized).  Each term is
+    formed from its log, so a large coefficient times x^(2b-1) cannot
+    overflow before exp(-c x^2) brings it back into range."""
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 0):
         raise DomainError("envelope_pdf requires x >= 0")
@@ -161,7 +164,7 @@ def envelope_pdf(d: MGDistribution, x) -> np.ndarray | float:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(
             xx > 0,
-            2.0 * a * xx ** (2.0 * b - 1.0) * np.exp(-d.rate * xx**2),
+            np.exp(np.log(2.0 * a) + (2.0 * b - 1.0) * np.log(xx) - d.rate * xx**2),
             # x = 0: only a b = 1/2 term contributes a finite nonzero value
             np.where(b == 0.5, 2.0 * a, 0.0),
         ).sum(axis=-1)
@@ -198,25 +201,21 @@ def _finite(out: np.ndarray, what: str) -> np.ndarray | float:
 
 def product_pdf(d1: MGDistribution, d2: MGDistribution, x) -> np.ndarray | float:
     """Density of chi = |h||g| at x > 0: a mixture of generalized-K terms,
-    4 a1 a2 (c1/c2)^(-(b1-b2)/2) x^(b1+b2-1) K_(b1-b2)(2 sqrt(c1 c2) x)."""
+    4 a1 a2 (c1/c2)^(-(b1-b2)/2) x^(b1+b2-1) K_(b1-b2)(2 sqrt(c1 c2) x),
+    each formed from its log by special._log_gen_k, the kernel of pdf_A."""
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr <= 0):
         raise DomainError("product_pdf requires x > 0")
-    a1, b1 = d1.coeffs, d1.shapes
-    a2, b2 = d2.coeffs, d2.shapes
-    c1, c2 = d1.rate, d2.rate
-    scale = 2.0 * math.sqrt(c1 * c2)
-    coef = (
-        4.0
-        * a1[:, None]
-        * a2[None, :]
-        * (c1 / c2) ** (-(b1[:, None] - b2[None, :]) / 2.0)
+    b1, b2 = d1.shapes[:, None], d2.shapes[None, :]
+    log_c = (
+        math.log(4.0)
+        + np.log(d1.coeffs)[:, None]
+        + np.log(d2.coeffs)[None, :]
+        - (b1 - b2) / 2.0 * math.log(d1.rate / d2.rate)
     )
-    nu = b1[:, None] - b2[None, :]
-    power = b1[:, None] + b2[None, :] - 1.0
     xx = x_arr[..., None, None]
-    vals = coef * xx**power * sc.kv(nu, scale * xx)
-    out = vals.sum(axis=(-2, -1))
+    log_terms = _log_gen_k(log_c, b1, b2, math.sqrt(d1.rate * d2.rate), xx)
+    out = np.exp(log_terms).sum(axis=(-2, -1))
     return out if out.ndim else float(out)
 
 

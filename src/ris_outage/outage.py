@@ -151,7 +151,7 @@ def op_floor(s: OutageScenario) -> float:
     """
     if s.mis is None:
         raise DomainError("op_floor requires a misalignment scenario")
-    if s.gamma_th >= max_threshold(s.hw):
+    if _effective_threshold(s) is None:
         return 1.0
     p, zeta, b_o = s.kg, s.mis.zeta, s.mis.b_o
     if zeta >= 2.0 * min(p.k_a, p.m_a):

@@ -182,7 +182,7 @@ def derived_report(scn: ScenarioFile) -> dict:
                 kg=kg,
                 hw=scn.hardware,
                 gamma=1.0,
-                gamma_th=min(scn.gamma_th, 1.0),
+                gamma_th=scn.gamma_th,
                 mis=mis,
             )
             try:

@@ -321,6 +321,22 @@ class TestCli:
         assert len(rows) == 5
         assert all(0.0 < float(r[1]) < 1e-300 for r in rows)
 
+    def test_threshold_sweep_below_float_square_root_shape_one_half(self, tmp_path, capsys):
+        # Nakagami(0.5) hops: the inner P(k_a, s/v) of the fixed rule leaves
+        # the normal range.  The first cell is mpmath's F_A at the swept x,
+        # 2.3524850980067e-158, to the 12 digits the CSV writes
+        text = MINIMAL.replace("m = 1.0 }", "m = 0.5 }")
+        text = text.replace("kind = rice  k_r_db = 5.0  n_terms = 20", "kind = nakagami  m = 0.5")
+        text = text.replace("ris { n_elements = 4 }", "ris { n_elements = 1 }\nlink { gamma_db = 300 }")
+        text = text.replace("variable = gamma_over_gamma_th_db  start = 0  stop = 10  points = 3",
+                            "variable = gamma_th  start = 1e-290  stop = 1e-280  points = 3")
+        scn = tmp_path / "tiny.scenario"
+        scn.write_text(text)
+        assert main(["run", str(scn), "-o", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+        rows = (tmp_path / "out" / "curve.csv").read_text().splitlines()
+        assert rows[1].split(",")[1] == "2.35248509801e-158"
+
     @pytest.mark.parametrize(
         "old,new,field",
         [
@@ -430,6 +446,25 @@ class TestCli:
         # divergent beam at these parameters: jitter exponent enormous,
         # closed-form floor invalid, and the report must say so
         assert "UNDEFINED (Gamma-argument condition violated)" in out
+
+    def test_report_floor_is_run_floor_past_the_ceiling(self, tmp_path, capsys):
+        # gamma_th = 3 lies past the hardware ceiling 1/(0.5^2 + 0.5^2) = 2:
+        # report evaluates the floor at the scenario's own threshold, as run does
+        text = (MINIMAL.replace("n_elements = 4", "n_elements = 16")
+                .replace("kappa_s = 0.0  kappa_d = 0.0", "kappa_s = 0.5  kappa_d = 0.5")
+                .replace("start = 0  stop = 10  points = 3", "start = 0  stop = 40  points = 3"))
+        text += ("geometry { l2 = 10.0  w_o = 0.05  f = 100e9  cn2 = 2.3e-9  alpha = 0.1"
+                 "  theta = 5.497787143782138  phi = 2.0943951023931953"
+                 "  sigma_p = 0.05  sigma_o = 0.0  d_x = 0.0 }\n"
+                 "link { gamma_th = 3 }\n")
+        scn = tmp_path / "ceiling.scenario"
+        scn.write_text(text)
+        assert run_cli(["report", str(scn)]) == 0
+        report = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
+        assert run_cli(["run", str(scn), "-o", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "curve.csv").read_text().splitlines()[1:]
+        floors = {row.split(",")[3] for row in rows}
+        assert floors == {"1"} and float(report["floor"]) == 1.0
 
     def test_report_infinite_ceiling(self, capsys):
         scn = os.path.join(SCENARIO_DIR, "aligned_elements.scenario")

@@ -292,6 +292,21 @@ class TestCdfA:
             else:  # subnormal or 0: no digits to check
                 assert 0.0 <= got <= 2.3e-308, x
 
+    @pytest.mark.parametrize("k", [0.5, 0.8, 0.95])
+    def test_quadrature_where_s_over_v_underflows(self, k):
+        # k_a = m_a < 1: the inner P(k_a, s/v) of the rule's nodes leaves
+        # the normal range while (s/v)^k_a and the value do not
+        p = make_kg(k, k)
+        for x in (1e-160, 1e-200, 1e-250):
+            ref = float(mp_cdf_A(p.k_a, p.m_a, p.xi, x))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = cdf_A(p, x)
+            if ref >= 2.3e-308:  # a normal double
+                assert got == pytest.approx(ref, rel=1e-12, abs=0.0), x
+            else:  # subnormal or 0: no digits to check
+                assert 0.0 <= got <= 2.3e-308, x
+
     def test_monotone(self):
         p = kg_reference(4)
         xs = np.linspace(0.0, 4.0 * math.sqrt(p.omega_a), 1000)
@@ -429,8 +444,8 @@ def _boundary_cases():
         for off in (5e-4, -5e-4, 2e-3, -2e-3):
             zeta = 2.0 * (m + n + off)
             yield pytest.param(5.67, m, zeta, grid, id=f"pole-m+{n}{off:+g}")
-    for zeta in (None, 3.1):  # well conditioned up to the z limit
-        yield pytest.param(228.3, 64.1, zeta, (383.0, 399.0, 401.0, 417.0),
+    for zeta in (None, 3.1):  # large shapes: well conditioned past z = 400
+        yield pytest.param(228.3, 64.1, zeta, (383.0, 399.0, 401.0, 417.0, 1000.0),
                            id=f"zlimit-zeta{zeta}")
 
 
@@ -451,6 +466,47 @@ class TestRouterBoundaries:
             assert got == pytest.approx(ref, rel=1e-6, abs=0.0), z
             vals.append(got)
         assert vals == sorted(vals)
+
+    @pytest.mark.parametrize("zeta", [None, 3.1])
+    def test_large_shapes_keep_the_series_past_z_400(self, zeta):
+        # the route follows cond alone: no argument limit overrides it
+        p = make_kg(228.3, 64.1)
+        s = None if zeta is None else make_stats(0.6, zeta)
+        b_o = 1.0 if s is None else s.b_o
+        for z in (401.0, 417.0, 1000.0):
+            x = math.sqrt(z) * b_o / p.xi
+            assert cascade._series_log(p, s, x) is not None, z
+
+    @pytest.mark.parametrize("zeta", [None, 0.5, 3.1, 7.3])
+    def test_skipped_sums_are_ones_the_router_rejects(self, monkeypatch, zeta):
+        # every 1F2 partial sum starts at 1, so a sum in (0, 1] has
+        # cond >= max(|T0|, |C_s u^(2s)|); _log_series skips the sums where
+        # that bound reaches _COND_LIMIT, and the full sum has cond past it
+        s = None if zeta is None else make_stats(0.6, zeta)
+        b_o = 1.0 if s is None else s.b_o
+        checked = skipped = 0
+        for k, m in ((0.6, 0.35), (2.3 + 3.41, 2.3), (12.4, 3.7), (228.3, 64.1)):
+            p = make_kg(k, m)
+            if not cascade._series_defined(p, zeta):
+                continue
+            for z in np.geomspace(0.1, 3e3, 12):
+                x = math.sqrt(z) * b_o / p.xi
+                t0, branches = cascade._expansion_terms(p, x / b_o, zeta)
+                bound = max([b[3] for b in branches] + ([] if t0 is None else [t0[1]]))
+                gated = cascade._log_series(p, s, x) == (0.0, -math.inf, math.inf)
+                with monkeypatch.context() as patch:
+                    patch.setattr(cascade, "_COND_LIMIT", math.inf)  # sum everything
+                    try:
+                        sign, logmag, cond = cascade._log_series(p, s, x)
+                    except NoConvergence:
+                        continue
+                if sign > 0.0 and logmag <= 0.0:
+                    checked += 1
+                    assert math.log(cond) >= bound - 1e-9, (k, m, z)
+                    if gated:
+                        skipped += 1
+                        assert cond >= cascade._COND_LIMIT, (k, m, z)
+        assert checked >= 10 and skipped >= 1
 
 
 class TestPdfAe2e:
@@ -530,8 +586,8 @@ class TestFixedRules:
         checked = 0
         for level in FIXED_RULE_LEVELS[:-1]:
             x = _x_at(p, s, level)
-            sign, logmag, cond = cascade._log_series(p, s, x)
-            if not (sign > 0.0 and logmag <= 0.0 and cond < cascade._COND_LIMIT):
+            logmag = cascade._series_log(p, s, x)
+            if logmag is None:
                 continue  # the router would not keep the series here
             checked += 1
             assert cdf_Ae2e_quadrature(p, s, x) == pytest.approx(

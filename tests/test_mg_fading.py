@@ -1,8 +1,12 @@
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sc
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import ks_2samp, kstest
 
@@ -35,6 +39,38 @@ def mixture_cdf(d):
         )
 
     return cdf
+
+
+def mp_envelope_pdf(d, x):
+    """The mixture density at x to 30 digits."""
+    with mp.workdps(30):
+        x = mp.mpf(x)
+        return sum(2 * mp.mpf(a) * x ** (2 * mp.mpf(b) - 1) * mp.exp(-mp.mpf(d.rate) * x**2)
+                   for a, b in zip(d.coeffs, d.shapes))
+
+
+def mp_product_pdf(d1, d2, x):
+    """The product density's generalized-K mixture at x to 30 digits."""
+    with mp.workdps(30):
+        x, c1, c2 = mp.mpf(x), mp.mpf(d1.rate), mp.mpf(d2.rate)
+        total = mp.mpf(0)
+        for a1, b1 in zip(d1.coeffs, map(mp.mpf, d1.shapes)):
+            for a2, b2 in zip(d2.coeffs, map(mp.mpf, d2.shapes)):
+                total += (4 * mp.mpf(a1) * mp.mpf(a2) * (c1 / c2) ** (-(b1 - b2) / 2)
+                          * x ** (b1 + b2 - 1) * mp.besselk(b1 - b2, 2 * mp.sqrt(c1 * c2) * x))
+        return total
+
+
+@st.composite
+def accepted_laws(draw):
+    """An envelope law the scenario parser accepts: Nakagami m in
+    [0.5, 300], or Rice K in [0, 16.4] dB with an n_terms from_rice takes."""
+    if draw(st.booleans()):
+        return from_nakagami(draw(st.floats(0.5, 300.0)))
+    k_r = 10.0 ** (draw(st.floats(0.0, 16.4)) / 10.0)
+    n_min = next((n for n in range(1, 61) if sc.gammainc(n, k_r) <= 1e-2), None)
+    assume(n_min is not None)
+    return from_rice(k_r, draw(st.integers(n_min, 60)))
 
 
 class TestNakagamiMapping:
@@ -129,6 +165,16 @@ class TestEnvelopePdf:
         assert abs(dens_hat - float(envelope_pdf(d, 1.0))) <= 3.0 * stderr + 1e-4
 
 
+    def test_large_shape_against_mp_reference(self):
+        # (m/omega)^m / Gamma(m) x^(2m-1) leaves float range before
+        # exp(-m x^2) brings it back
+        d = from_nakagami(300.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = envelope_pdf(d, 2.0)
+        assert got == pytest.approx(float(mp_envelope_pdf(d, 2.0)), rel=1e-12, abs=0.0)
+
+
 class TestProductMoment:
     def test_zeroth(self):
         assert product_moment(from_nakagami(1.0), from_rice(2.0, 20), 0) == pytest.approx(
@@ -176,6 +222,31 @@ class TestProductPdf:
         dens_hat = p_hat / width
         stderr = math.sqrt(p_hat * (1.0 - p_hat) / n) / width
         assert abs(dens_hat - float(product_pdf(d1, d2, 0.8))) <= 3.0 * stderr + 1e-4
+
+
+    @pytest.mark.parametrize(
+        "d2,x",
+        [(from_nakagami(0.5), 1e-6), (from_nakagami(0.5), 1e-8), (from_rice(1.0, 5), 1e-6)],
+        ids=["nakagami0.5-1e-6", "nakagami0.5-1e-8", "rice0dB-1e-6"],
+    )
+    def test_high_order_small_argument_against_mp_reference(self, d2, x):
+        # K_(b1-b2) at orders up to 59 overflows at small argument, while
+        # the term x^(b1+b2-1) K_(b1-b2) does not
+        d1 = from_rice(10.0**1.6, 60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = product_pdf(d1, d2, x)
+        assert got == pytest.approx(float(mp_product_pdf(d1, d2, x)), rel=1e-12, abs=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(accepted_laws(), accepted_laws(), st.floats(-8.0, 2.0))
+    def test_densities_finite_for_accepted_laws(self, d1, d2, log10_x):
+        x = 10.0**log10_x
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            values = (envelope_pdf(d1, x), envelope_pdf(d2, x), product_pdf(d1, d2, x))
+        for v in values:
+            assert math.isfinite(v) and v >= 0.0
 
 
 class TestSampling:

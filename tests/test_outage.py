@@ -24,6 +24,7 @@ from ris_outage import (
     op_floor,
 )
 from ris_outage.cascade import _signed_logsum
+from ris_outage.outage import _effective_threshold
 
 RICE_5DB = 10.0 ** 0.5
 
@@ -219,6 +220,22 @@ class TestOpFloor:
         sc = OutageScenario(kg=p, hw=HardwareProfile(0.3, 0.3),
                             gamma=10.0, gamma_th=6.0, mis=s)
         assert op_floor(sc) == 1.0
+
+    @pytest.mark.parametrize("kappas", [(0.09, 0.1), (0.13, 0.3), (0.18, 0.2), (0.3, 0.3)])
+    def test_ceiling_is_the_effective_threshold_test(self, kappas):
+        # at fl(1/kappa^2) and its neighbours gamma_th >= 1/kappa^2 and
+        # 1 - kappa^2 gamma_th <= 0 can disagree; op_floor takes the one
+        # test op_exact and op_asymptotic take
+        p = kg_reference(16)
+        s = make_stats(0.55, 3.43)
+        hw = HardwareProfile(*kappas)
+        ceiling = 1.0 / hw.kappa_sq_sum
+        for step in (-2, -1, 0, 1, 2):
+            gamma_th = ceiling
+            for _ in range(abs(step)):
+                gamma_th = math.nextafter(gamma_th, math.copysign(math.inf, step))
+            sc = OutageScenario(kg=p, hw=hw, gamma=10.0, gamma_th=gamma_th, mis=s)
+            assert (op_floor(sc) == 1.0) == (_effective_threshold(sc) is None), step
 
     def test_undefined_when_zeta_large(self):
         p = kg_reference(16)
