@@ -71,91 +71,85 @@ class KGParams:
             raise DomainError("omega_a must equal the matched second moment")
 
 
+# moment_match refuses larger arrays: k_a - m_a grows about as N, and so do
+# the steps of the closed forms' Bessel recurrence.  cdf_Ae2e costs about
+# 0.13 s a point at N = 4096, 0.5 s at 16384, and fails at 65536.
+_MAX_ELEMENTS = 4096
+
+
+def _sum_cumulants(
+    d1: MGDistribution, d2: MGDistribution, n_elements: int, max_order: int
+) -> list[float]:
+    """kappa_0..kappa_max_order of A (kappa_0 = 0): N times the cumulants
+    c_j of one product, from its moments normalized by their mass mu_0."""
+    if n_elements < 1:
+        raise DomainError(f"n_elements must be >= 1, got {n_elements}")
+    mu = product_moment(d1, d2, np.arange(max_order + 1))
+    m = (mu / mu[0]).tolist()
+    c = [0.0]
+    for o in range(1, max_order + 1):
+        c.append(m[o] - sum(math.comb(o - 1, j - 1) * c[j] * m[o - j] for j in range(1, o)))
+    return [n_elements * cj for cj in c]
+
+
 def sum_moments(
     d1: MGDistribution, d2: MGDistribution, n_elements: int, order: int
 ) -> float:
     """Raw moment E[A^order] of the sum of n_elements i.i.d. envelope
-    products, by binomial convolution of the single-product moment vector
-    (identical to the nested multinomial expansion but O(order^3 log N))."""
-    if n_elements < 1:
-        raise DomainError(f"n_elements must be >= 1, got {n_elements}")
+    products, from its cumulants kappa_j by the moment-cumulant recursion
+    mu_o = sum_j C(o-1, j-1) kappa_j mu_(o-j), with mu_0 = 1."""
     if order < 0:
         raise DomainError(f"order must be >= 0, got {order}")
-    return float(_moment_vector(d1, d2, n_elements, order)[order])
-
-
-def _moment_vector(
-    d1: MGDistribution, d2: MGDistribution, n_elements: int, max_order: int
-) -> np.ndarray:
-    """E[A^o] for o = 0..max_order: the first column of L^N, where
-    L[o, j] = C(o, j) mu_(o-j) (mu the single-product moments) adds one
-    element to the sum, taken by repeated squaring."""
-    o = np.arange(max_order + 1)
-    mu = product_moment(d1, d2, o)
-    # above the diagonal o - j < 0 indexes mu from its end; tril zeroes it
-    step = np.tril(sc.binom(o[:, None], o) * mu[o[:, None] - o])
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.linalg.matrix_power(step, n_elements)[:, 0]
-    if not np.all((0.0 < out) & (out < math.inf)):
+    kappa = _sum_cumulants(d1, d2, n_elements, order)
+    mu = [1.0]
+    for o in range(1, order + 1):
+        mu.append(sum(math.comb(o - 1, j - 1) * kappa[j] * mu[o - j] for j in range(1, o + 1)))
+    if not all(0.0 < v < math.inf for v in mu):
         raise OverflowGuard(f"the moments of the {n_elements}-element sum leave float range")
-    return out
-
-
-# moment_match gives up where N eps cond(a_A) exceeds this, with
-# cond(a_A) = (mu6 mu2 + mu2^2 mu4 + 2 mu4^2) / |a_A|.  On four hop pairs
-# the shapes are then 0.16-1.9 times N eps cond(a_A) off 90-digit
-# references: within 2e-7 up to the largest N accepted (349-535), 5e-4 to
-# 2e-2 at N = 16384.  cond of the discriminant is left out: it is infinite
-# at the exact double root of identical Nakagami hops at N = 1.
-_MATCH_ERROR_LIMIT = 1e-7
+    return mu[order]
 
 
 def moment_match(
     d1: MGDistribution, d2: MGDistribution, n_elements: int
 ) -> KGParams:
-    """Match E[A^2], E[A^4], E[A^6] to a generalized-K law.
-
-    The two shape parameters are the roots of a_A t^2 + b_A t + c_A with
-    the moment-polynomial coefficients; roots are ordered k_a >= m_a.
-    Raises MomentMatchFailure when the discriminant is negative or a root
-    is non-positive (no valid surrogate for these moments).  A discriminant
-    within 1e-12 b_A^2 below zero is rounding around a double root (two
-    identical Nakagami hops at N = 1, where k_a = m_a = m is exact) and is
-    taken as zero.  Identical Nakagami hops at N >= 2 have a genuinely
-    negative discriminant (0.17-3.7% of b_A^2 for m in 1..5) and still
-    raise.  It also raises where a_A cancels too far for doubles: see
-    _MATCH_ERROR_LIMIT.
+    """Match E[A^2], E[A^4], E[A^6] to a generalized-K law, from the
+    cumulants kappa_j of A.  With Y = A^2 and d4 = Var Y / (E Y)^2,
+    1/k_a and 1/m_a are the roots of t^2 - p t + q, where
+    q = (kappa_3(Y) / (E Y)^3 - 2 d4^2) / (2 (1 + d4)) and p = d4 - q;
+    Var Y and kappa_3(Y) are polynomials in kappa_1..kappa_6 with no
+    cancellation that grows with N.  MomentMatchFailure where no
+    generalized-K law has these moments: a negative discriminant
+    p^2 - 4q or a non-positive root.  A discriminant within 1e-12 p^2
+    below zero is rounding around a double root (identical Nakagami hops
+    at N = 1, where k_a = m_a = m is exact) and is taken as zero; at
+    N >= 2 such hops have no match.  DomainError above _MAX_ELEMENTS.
     """
-    mu = _moment_vector(d1, d2, n_elements, 6)
-    mu2, mu4, mu6 = float(mu[2]), float(mu[4]), float(mu[6])
-    a_c = mu6 * mu2 + mu2**2 * mu4 - 2.0 * mu4**2
-    cond_a = (mu6 * mu2 + mu2**2 * mu4 + 2.0 * mu4**2) / abs(a_c) if a_c else math.inf
-    err = n_elements * np.finfo(float).eps * cond_a
-    if not err <= _MATCH_ERROR_LIMIT:  # NaN from overflowing products raises too
-        raise MomentMatchFailure(f"the moments of the {n_elements}-element sum are "
-                                 f"too ill-conditioned: N eps cond(a_A) = {err:.2e}")
-    b_c = mu6 * mu2 - 4.0 * mu4**2 + 3.0 * mu2**2 * mu4
-    c_c = 2.0 * mu2**2 * mu4
-    disc = b_c * b_c - 4.0 * a_c * c_c
-    if 0.0 > disc >= -1e-12 * b_c * b_c:
+    if n_elements > _MAX_ELEMENTS:
+        raise DomainError(f"n_elements = {n_elements} exceeds {_MAX_ELEMENTS}, past which "
+                          "the closed forms' Bessel recurrence is too slow")
+    k1, k2, k3, k4, k5, k6 = _sum_cumulants(d1, d2, n_elements, 6)[1:]
+    mu2 = k2 + k1 * k1  # E Y
+    var_y = k4 + 4.0 * k1 * k3 + 2.0 * k2 * k2 + 4.0 * k1 * k1 * k2
+    k3_y = (k6 + 6.0 * k1 * k5 + 12.0 * k1 * k1 * k4 + 12.0 * k2 * k4 + 8.0 * k1**3 * k3
+            + 48.0 * k1 * k2 * k3 + 10.0 * k3 * k3 + 24.0 * k1 * k1 * k2 * k2 + 8.0 * k2**3)
+    mu4, mu6 = var_y + mu2 * mu2, k3_y + 3.0 * mu2 * var_y + mu2**3
+    if not 0.0 < mu6 < math.inf:
+        raise OverflowGuard(f"the moments of the {n_elements}-element sum leave float range")
+    d4 = var_y / mu2**2
+    q = (k3_y / mu2**3 - 2.0 * d4 * d4) / (2.0 * (1.0 + d4))
+    p = d4 - q
+    disc = p * p - 4.0 * q
+    if 0.0 > disc >= -1e-12 * p * p:
         disc = 0.0
-    if disc < 0.0:
+    if not disc >= 0.0:
         raise MomentMatchFailure(f"negative discriminant {disc!r}")
-    # numerically stable quadratic roots
-    q = -0.5 * (b_c + math.copysign(math.sqrt(disc), b_c))
-    roots = sorted((q / a_c, c_c / q), reverse=True)
-    k_a, m_a = roots
-    if m_a <= 0.0 or not all(map(math.isfinite, roots)):
-        raise MomentMatchFailure(f"non-positive shape root in {roots}")
-    xi = math.sqrt(k_a * m_a / mu2)
-    return KGParams(
-        k_a=k_a,
-        m_a=m_a,
-        xi=xi,
-        omega_a=mu2,
-        n_elements=n_elements,
-        moments2_4_6=(mu2, mu4, mu6),
-    )
+    if not (p > 0.0 and q > 0.0):
+        raise MomentMatchFailure(f"non-positive shape root: 1/k_a + 1/m_a = {p!r}, "
+                                 f"1/(k_a m_a) = {q!r}")
+    big = 0.5 * (p + math.sqrt(disc))  # the larger root, 1/m_a
+    m_a, k_a = sorted((1.0 / big, big / q))
+    return KGParams(k_a=k_a, m_a=m_a, xi=math.sqrt(k_a * m_a / mu2), omega_a=mu2,
+                    n_elements=n_elements, moments2_4_6=(mu2, mu4, mu6))
 
 
 # ---------------------------------------------------------------------------

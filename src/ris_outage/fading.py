@@ -105,8 +105,8 @@ def from_rice(k_r: float, n_terms: int = 20) -> MGDistribution:
     mixture integrates to one exactly.  Truncation drops the weight
     P(Poisson(k_r) >= n_terms) of the exact law, which normalization
     would hide: DomainError where that exceeds 1e-2, naming the smallest
-    n_terms that would do (20 terms hold up to k_r = 10.4 dB, 60 terms
-    up to 16.4 dB).  A multi-term law that drops at most 1e-9 (k_r up to
+    n_terms that would do (20 terms hold up to k_r = 10.44 dB, 60 terms
+    up to 16.38 dB).  A multi-term law that drops at most 1e-9 (k_r up to
     5.4 dB at 20 terms) records k_r as rice_k, so that sample_envelope
     draws the Rice law itself; elsewhere it draws the truncated mixture
     that the closed forms price.

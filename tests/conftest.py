@@ -147,8 +147,14 @@ def mp_cdf_Ae2e(k_a, m_a, xi, b_o, zeta, x, dps=40):
 
 
 def mp_moment_match(d1, d2, n_elements):
-    """Extended-precision re-implementation of the moment matching chain."""
-    with mp.workdps(60):
+    """Extended-precision re-implementation of the moment matching chain
+    on raw moments, independent of the library's cumulants.  The single-
+    product moments are divided by their mass mu_0 (the float mixture's
+    weights sum to 1 only to rounding), and E[A^o], o = 0..6, is the first
+    column of L^N, L[o, j] = C(o, j) mu_(o-j), taken by mpmath's repeated
+    squaring at 60 + 8 log10 N digits (the quadratic's leading coefficient
+    cancels as N^2)."""
+    with mp.workdps(60 + int(8 * math.log10(n_elements))):
         def env_moment(d, n):
             return sum(
                 mp.mpf(str(a)) * mp.gamma(mp.mpf(str(b)) + mp.mpf(n) / 2)
@@ -157,13 +163,13 @@ def mp_moment_match(d1, d2, n_elements):
             )
 
         mu = [env_moment(d1, n) * env_moment(d2, n) for n in range(7)]
-        cur = list(mu)
-        for _ in range(n_elements - 1):
-            cur = [
-                sum(mp.binomial(l, j) * cur[j] * mu[l - j] for j in range(l + 1))
-                for l in range(7)
-            ]
-        mu2, mu4, mu6 = cur[2], cur[4], cur[6]
+        mu = [v / mu[0] for v in mu]
+        step = mp.matrix(7, 7)
+        for o in range(7):
+            for j in range(o + 1):
+                step[o, j] = mp.binomial(o, j) * mu[o - j]
+        cur = step ** int(n_elements)
+        mu2, mu4, mu6 = cur[2, 0], cur[4, 0], cur[6, 0]
         a_c = mu6 * mu2 + mu2**2 * mu4 - 2 * mu4**2
         b_c = mu6 * mu2 - 4 * mu4**2 + 3 * mu2**2 * mu4
         c_c = 2 * mu2**2 * mu4

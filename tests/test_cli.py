@@ -1,11 +1,12 @@
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 
-from conftest import MIXED_SIGMA_P_SWEEP
-from ris_outage import RisOutageError
+from conftest import MIXED_SIGMA_P_SWEEP, mp_cdf_A
+from ris_outage import RisOutageError, moment_match
 from ris_outage.cli import main
 from ris_outage.scenario import ScenarioParseError, parse_scenario
 from ris_outage.sweep import CSV_HEADER, evaluate_sweep
@@ -269,9 +270,9 @@ class TestCli:
     @pytest.mark.parametrize(
         "command,old,new,message",
         [
-            # matrix powers keep the moments of a huge array cheap, and its
-            # match is refused as too ill-conditioned instead of hanging
-            ("report", "n_elements = 4", "n_elements = 1e7", "ill-conditioned"),
+            # past 4096 elements the closed forms' Bessel recurrence would
+            # hang: the match is refused at once
+            ("report", "n_elements = 4", "n_elements = 1e7", "exceeds 4096"),
             # E[|h|^6] ~ omega^3 leaves float range
             ("run", "m = 1.0 }", "m = 1.0  omega = 1e120 }", "float range"),
         ],
@@ -323,8 +324,9 @@ class TestCli:
 
     def test_threshold_sweep_below_float_square_root_shape_one_half(self, tmp_path, capsys):
         # Nakagami(0.5) hops: the inner P(k_a, s/v) of the fixed rule leaves
-        # the normal range.  The first cell is mpmath's F_A at the swept x,
-        # 2.3524850980067e-158, to the 12 digits the CSV writes
+        # the normal range.  The first cell is mpmath's F_A at the swept x
+        # (about 2.352485098e-158) and at the matched shapes, to the 12
+        # digits the CSV writes
         text = MINIMAL.replace("m = 1.0 }", "m = 0.5 }")
         text = text.replace("kind = rice  k_r_db = 5.0  n_terms = 20", "kind = nakagami  m = 0.5")
         text = text.replace("ris { n_elements = 4 }", "ris { n_elements = 1 }\nlink { gamma_db = 300 }")
@@ -335,7 +337,10 @@ class TestCli:
         assert main(["run", str(scn), "-o", str(tmp_path / "out")]) == 0
         assert capsys.readouterr().err == ""
         rows = (tmp_path / "out" / "curve.csv").read_text().splitlines()
-        assert rows[1].split(",")[1] == "2.35248509801e-158"
+        parsed = parse_scenario(text)
+        kg = moment_match(parsed.hop1, parsed.hop2, 1)
+        x = math.sqrt(parsed.sweep.values()[0] / parsed.gamma)
+        assert rows[1].split(",")[1] == f"{float(mp_cdf_A(kg.k_a, kg.m_a, kg.xi, x)):.12g}"
 
     @pytest.mark.parametrize(
         "old,new,field",

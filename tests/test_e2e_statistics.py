@@ -8,6 +8,8 @@ from scipy.integrate import quad
 
 from conftest import make_kg, make_stats, mp_cdf_A, mp_cdf_Ae2e, mp_moment_match, mp_pdf_A
 from ris_outage import (
+    DomainError,
+    HardwareProfile,
     KGParams,
     MCConfig,
     MomentMatchFailure,
@@ -23,6 +25,7 @@ from ris_outage import (
     product_moment,
     sample_envelope,
     simulate_cdf,
+    simulate_curve,
     sum_moments,
 )
 from ris_outage import cascade
@@ -94,26 +97,27 @@ class TestMomentMatch:
         assert p.xi == pytest.approx(1.0, abs=1e-9)
         assert p.moments2_4_6 == pytest.approx((1.0, 4.0, 36.0), rel=1e-12)
 
-    @pytest.mark.parametrize("n", [1, 4, 16, 64, 256])
+    @pytest.mark.parametrize("n", [1, 4, 16, 64, 256, 1024, 4096])
     @pytest.mark.parametrize("pair", sorted(MATCH_PAIRS))
     def test_against_extended_precision(self, pair, n):
-        # the rounding error grows as N^3 (N eps times the cancellation in
-        # a_A, which grows as N^2); measured worst ~4.5e-15 N^3
+        # the cumulants kappa_j = N c_j carry no cancellation that grows
+        # with N: measured worst 2.4e-13 at every N
         d1, d2 = MATCH_PAIRS[pair]
         p = moment_match(d1, d2, n)
         k_ref, m_ref, xi_ref, om_ref = mp_moment_match(d1, d2, n)
-        rel = 1e-13 + 2e-14 * n**3
+        rel = 1e-12
         assert p.k_a == pytest.approx(k_ref, rel=rel)
         assert p.m_a == pytest.approx(m_ref, rel=rel)
         assert p.xi == pytest.approx(xi_ref, rel=rel)
         assert p.omega_a == pytest.approx(om_ref, rel=rel)
 
     @pytest.mark.parametrize("pair", sorted(MATCH_PAIRS))
-    def test_large_n_ill_conditioned_raises(self, pair):
-        # at N = 16384 the double-precision shapes are 5e-4 to 2e-2 off a
-        # 90-digit reference: no match beats a silently wrong one
-        with pytest.raises(MomentMatchFailure, match="ill-conditioned"):
-            moment_match(*MATCH_PAIRS[pair], 16384)
+    def test_element_ceiling(self, pair):
+        # past 4096 elements the closed forms' Bessel recurrence costs too
+        # much a point: refused at once, by a message that names the ceiling
+        with pytest.raises(DomainError, match="exceeds 4096"):
+            moment_match(*MATCH_PAIRS[pair], 4097)
+        assert moment_match(*MATCH_PAIRS[pair], 4096).n_elements == 4096
 
     def test_scale_covariance(self):
         # scaling both mean powers by s^2 scales omega_a by s^2, shapes invariant
@@ -274,6 +278,14 @@ class TestCdfA:
                 got = cdf_A(p, x)
                 assert got == pytest.approx(ref, rel=1e-8, abs=0.0), (p.k_a, p.m_a, x)
 
+    def test_large_array_against_mp_reference(self):
+        # N = 1024: shapes past 800, far beyond the old conditioning limit
+        p = kg_reference(1024)
+        for frac in (0.97, 1.0):
+            x = frac * math.sqrt(p.omega_a)
+            ref = float(mp_cdf_A(p.k_a, p.m_a, p.xi, x))
+            assert cdf_A(p, x) == pytest.approx(ref, rel=1e-10, abs=0.0), x
+
     @pytest.mark.parametrize(
         "p",
         [make_kg(0.6 + 3 + 2e-4, 0.6), make_kg(8.3, 0.55), kg_double_rayleigh()],
@@ -430,6 +442,22 @@ class TestCdfAe2e:
             stderr = math.sqrt(p_hat * (1 - p_hat) / n)
             # surrogate model slack on top of the binomial noise
             assert abs(cdf_Ae2e(p, s, x) - p_hat) <= 4.0 * stderr + 5e-3
+
+    @pytest.mark.parametrize("n,samples", [(1024, 16384), (4096, 4000)])
+    def test_large_array_against_mc(self, n, samples):
+        # one shared sample set prices F_A about the mean and F_A_e2e over
+        # its body; a chunk holds samples x n x 3 doubles (0.4 GB at 4096)
+        d1, d2 = MATCH_PAIRS["nakagami1-rice5db"]
+        p = moment_match(d1, d2, n)
+        s = make_stats(0.55, 3.43)
+        mean = math.sqrt(p.omega_a)
+        cases = [(None, f * mean) for f in (0.98, 1.0, 1.02)]
+        cases += [(s, f * mean) for f in (0.16, 0.38, 0.52)]
+        points = [(mis, HardwareProfile(), 1.0, x * x) for mis, x in cases]
+        estimates = simulate_curve(d1, d2, n, points, MCConfig(samples, seed=n, workers=1))
+        for (mis, x), est in zip(cases, estimates):
+            value = cdf_A(p, x) if mis is None else cdf_Ae2e(p, mis, x)
+            assert abs(value - est.op_hat) <= 4.0 * est.stderr, (mis, x)
 
 
 def _boundary_cases():

@@ -133,6 +133,10 @@ class TestRiceMapping:
             from_rice(10.0**1.3, 20)
         with pytest.raises(DomainError, match=r"no n_terms <= 60"):
             from_rice(10.0**1.7, 20)
+        # 60 terms hold up to 16.38 dB; at 16.4 dB they drop 0.0108
+        from_rice(10.0**1.638, 60)
+        with pytest.raises(DomainError, match=r"drops mixture weight 0\.0108"):
+            from_rice(10.0**1.64, 60)
         # 10 dB drops 3.5e-3 with 20 terms; 40 terms at 13 dB drop 5e-5
         assert envelope_moment(from_rice(10.0, 20), 2) == pytest.approx(1.0, abs=4e-3)
         assert envelope_moment(from_rice(10.0**1.3, 40), 2) == pytest.approx(1.0, abs=1e-4)
