@@ -15,6 +15,7 @@ never the numbers.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -154,12 +155,9 @@ def _cmd_run(args) -> int:
             series.append(("floor", [r.op_floor for r in rows]))
         if any(r.op_mc is not None for r in rows):
             series.append(("monte carlo", [r.op_mc for r in rows]))
-        try:
-            svg = render_log_plot(
-                [r.sweep_value for r in rows], series, x_label=scn.sweep.variable
-            )
-        except ValueError as exc:  # no positive value for the log axis
-            raise OSError(f"cannot write curve.svg: {exc}") from None
+        svg = render_log_plot(
+            [r.sweep_value for r in rows], series, x_label=scn.sweep.variable
+        )
         svg_path = os.path.join(args.output, "curve.svg")
         _write_atomic(svg_path, svg)
         print(svg_path)
@@ -195,7 +193,11 @@ def _threshold_from_rate(text: str) -> float:
     return gamma_th
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the
+    process: building it costs more than a parse, and parse_args keeps
+    no state between calls."""
     parser = argparse.ArgumentParser(
         prog="ris-outage",
         description="Outage curves for RIS-assisted UAV links.",
@@ -222,8 +224,11 @@ def main(argv=None) -> int:
     p_report = sub.add_parser("report", help="print derived quantities")
     p_report.add_argument("scenario", help="scenario file")
     p_report.set_defaults(func=_cmd_report)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     # the one map from errors to exit codes, one stderr line each
     try:
         return args.func(args)

@@ -40,19 +40,25 @@ def render_log_plot(
     on a log-10 y axis.
 
     None entries and non-positive values are skipped (lines break there).
+    With no positive value at all (every outage probability 0) the plot
+    keeps its frame, x axis and legend, and says so where the lines would
+    be.  ValueError when there is no x value.
     """
+    if not x_values:
+        raise ValueError("nothing to plot")
     ys = [
         v
         for _, data in series
         for v in data
         if v is not None and v > 0.0 and math.isfinite(v)
     ]
-    if not ys or not x_values:
-        raise ValueError("nothing to plot")
-    y_lo = 10.0 ** math.floor(math.log10(min(ys)))
-    y_hi = 10.0 ** math.ceil(math.log10(max(ys)))
-    if y_hi <= y_lo:
-        y_hi = y_lo * 10.0
+    if ys:
+        y_lo = 10.0 ** math.floor(math.log10(min(ys)))
+        y_hi = 10.0 ** math.ceil(math.log10(max(ys)))
+        if y_hi <= y_lo:
+            y_hi = y_lo * 10.0
+        log_lo = math.log10(y_lo)
+        log_span = math.log10(y_hi) - log_lo
     x_lo, x_hi = min(x_values), max(x_values)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
@@ -60,11 +66,8 @@ def render_log_plot(
     def px(x: float) -> float:
         return _ML + (x - x_lo) / (x_hi - x_lo) * (_W - _ML - _MR)
 
-    def py(y: float) -> float:
-        ly = math.log10(y)
-        return _H - _MB - (ly - math.log10(y_lo)) / (
-            math.log10(y_hi) - math.log10(y_lo)
-        ) * (_H - _MT - _MB)
+    def py(y: float) -> float:  # called only when ys is not empty
+        return _H - _MB - (math.log10(y) - log_lo) / log_span * (_H - _MT - _MB)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -73,18 +76,23 @@ def render_log_plot(
         f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" '
         f'height="{_H - _MT - _MB}" fill="none" stroke="black"/>',
     ]
-    # y grid: decades
-    dec = int(math.log10(y_lo))
-    while dec <= math.log10(y_hi) + 1e-9:
-        y = 10.0**dec
+    if ys:  # y grid: decades
+        dec = int(log_lo)
+        while dec <= math.log10(y_hi) + 1e-9:
+            y = 10.0**dec
+            parts.append(
+                f'<line x1="{_ML}" y1="{py(y):.1f}" x2="{_W - _MR}" y2="{py(y):.1f}" '
+                f'stroke="#dddddd"/>'
+            )
+            parts.append(
+                f'<text x="{_ML - 6}" y="{py(y) + 4:.1f}" text-anchor="end">1e{dec}</text>'
+            )
+            dec += 1
+    else:
         parts.append(
-            f'<line x1="{_ML}" y1="{py(y):.1f}" x2="{_W - _MR}" y2="{py(y):.1f}" '
-            f'stroke="#dddddd"/>'
+            f'<text x="{(_ML + _W - _MR) / 2:.1f}" y="{(_MT + _H - _MB) / 2:.1f}" '
+            f'text-anchor="middle">no positive value to plot</text>'
         )
-        parts.append(
-            f'<text x="{_ML - 6}" y="{py(y) + 4:.1f}" text-anchor="end">1e{dec}</text>'
-        )
-        dec += 1
     for t in _ticks_linear(x_lo, x_hi):
         parts.append(
             f'<line x1="{px(t):.1f}" y1="{_H - _MB}" x2="{px(t):.1f}" '

@@ -1,7 +1,9 @@
 import math
 import os
+import re
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -199,6 +201,51 @@ class TestCli:
         assert run_cli(["run", scn, "-o", str(tmp_path), "--svg"]) == 0
         svg = (tmp_path / "curve.svg").read_text()
         assert svg.startswith("<svg ") and "polyline" in svg
+
+    def test_all_zero_curve_svg(self, tmp_path, capsys):
+        # F_A underflows at every swept threshold for 4096 elements: the
+        # all-zero curve is valid, and its plot says there is nothing positive
+        text = open(os.path.join(SCENARIO_DIR, "aligned_elements.scenario")).read()
+        scn = tmp_path / "many.scenario"
+        scn.write_text(re.sub(r"n_elements = \d+", "n_elements = 4096", text))
+        assert run_cli(["run", str(scn), "-o", str(tmp_path), "--svg"]) == 0
+        assert capsys.readouterr().err == ""
+        rows = (tmp_path / "curve.csv").read_text().splitlines()[1:]
+        assert rows and {row.split(",")[1] for row in rows} == {"0"}
+        svg = (tmp_path / "curve.svg").read_text()
+        root = ET.fromstring(svg)
+        assert any(el.tag.endswith("rect") and el.get("stroke") == "black" for el in root.iter())
+        assert not any(el.tag.endswith("polyline") for el in root.iter())
+        assert "no positive value" in svg
+
+    def test_cached_parser_keeps_no_state(self, tmp_path):
+        # the parser is built once per process: no flag of one call may
+        # reach the next one
+        scn = os.path.join(SCENARIO_DIR, "hardware_threshold_sweep.scenario")
+        out = tmp_path / "out"
+        assert run_cli(["run", scn, "-o", str(out), "--svg"]) == 0
+        (out / "curve.svg").unlink()
+        assert run_cli(["run", scn, "-o", str(out)]) == 0
+        assert not (out / "curve.svg").exists()
+
+        text = MINIMAL.replace("kappa_s = 0.0  kappa_d = 0.0", "kappa_s = 0.3  kappa_d = 0.3")
+        own = tmp_path / "own.scenario"
+        own.write_text(text + "link { gamma_th = 2 }\n")
+        unit = tmp_path / "unit.scenario"
+        unit.write_text(text + "link { gamma_th = 1 }\n")
+        csv = {}
+        for name, path, flags in (("own", own, []), ("unit", unit, []),
+                                  ("flag", own, ["--rate-threshold", "1"]),
+                                  ("after", own, [])):
+            assert run_cli(["run", str(path), "-o", str(tmp_path / name), *flags]) == 0
+            csv[name] = (tmp_path / name / "curve.csv").read_bytes()
+        assert csv["flag"] == csv["unit"] != csv["own"]
+        assert csv["after"] == csv["own"]
+
+        with pytest.raises(SystemExit) as info:
+            run_cli(["run", scn, "-o", str(out), "--no-such-flag"])
+        assert info.value.code == 2
+        assert run_cli(["run", scn, "-o", str(out)]) == 0
 
     def test_parse_error_exit_code_and_no_partial_output(self, tmp_path, capsys):
         bad = tmp_path / "bad.scenario"

@@ -108,6 +108,28 @@ class TestRiceMapping:
         for k_r in (0.5, RICE_5DB, 10.0):
             assert from_rice(k_r, 20).normalization_residual() < 1e-9
 
+    @pytest.mark.parametrize("n_terms", [1, 2, 5, 20, 40, 60])
+    def test_normalization_bits_match_scipy_logsumexp(self, n_terms):
+        # oracle: the raw weights normalized by scipy.special.logsumexp,
+        # which from_rice writes out; every coefficient must keep its bits
+        compared = 0
+        for k_r in [0.0, 1e-3, *np.geomspace(1e-4, 10.0 ** 1.044, 60)]:
+            try:
+                d = from_rice(float(k_r), n_terms)
+            except DomainError:
+                continue
+            ks = np.arange(1, n_terms + 1, dtype=float)
+            if k_r == 0.0:
+                log_delta = np.where(ks == 1.0, 0.0, -np.inf)
+            else:
+                log_delta = ((ks - 1.0) * math.log(k_r) + ks * math.log1p(k_r)
+                             - k_r - 2.0 * sc.gammaln(ks))
+            log_mass = log_delta + sc.gammaln(ks) - ks * math.log(1.0 + k_r)
+            a = np.exp(log_delta - sc.logsumexp(log_mass))
+            assert d.terms == tuple((float(ai), float(k)) for ai, k in zip(a, ks) if ai > 0.0)
+            compared += 1
+        assert compared >= 2
+
     def test_weights_positive(self):
         d = from_rice(RICE_5DB, 20)
         assert np.all(d.weights > 0)

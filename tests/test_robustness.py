@@ -1,7 +1,9 @@
 """Edge-regime and concurrency coverage on top of the per-module tests."""
 
 import ast
+import hashlib
 import math
+import xml.etree.ElementTree as ET
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -154,7 +156,36 @@ class TestSvgEmitter:
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            render_log_plot([1.0], [("empty", [None])], x_label="x")
+            render_log_plot([], [("empty", [])], x_label="x")
+
+    # pure Python string formatting: these digests hold on any numpy/scipy
+    X_PIN = [-10.0, -7.5, -5.0, -2.5, 0.0, 2.5, 5.0]
+
+    def test_pinned_bytes(self):
+        # four series, None gaps, a 0, and a top value one ulp above 1e-2,
+        # whose log10 rounds to -2: y_hi = 1e-2 < value, so it is clamped
+        series = [
+            ("exact", [0.010000000000000002, 8e-3, 5e-3, 1e-3, 2e-4, 3e-5, 4e-6]),
+            ("asymptotic", [9.5e-3, None, 6e-3, 1.2e-3, 2.1e-4, 3.3e-5, 4.2e-6]),
+            ("floor", [1e-6] * 7),
+            ("monte carlo", [9e-3, 7e-3, None, 0.0, 1.9e-4, None, 5e-6]),
+        ]
+        svg = render_log_plot(self.X_PIN, series, x_label="gamma_over_gamma_th_db")
+        assert svg.count("<polyline ") == 4
+        assert hashlib.sha256(svg.encode()).hexdigest() == (
+            "dc980e09d1a2ec3ec55c74e0e5ab5055be030f3c6b1f0eaaeee05f8427108bc4"
+        )
+
+    def test_no_positive_value_keeps_frame_and_says_so(self):
+        series = [("exact", [0.0] * 7), ("asymptotic", [None, 0.0] * 3 + [None])]
+        svg = render_log_plot(self.X_PIN, series, x_label="gamma_over_gamma_th_db")
+        root = ET.fromstring(svg)
+        tags = [el.tag.rsplit("}", 1)[-1] for el in root.iter()]
+        assert tags.count("rect") == 2 and "polyline" not in tags
+        assert ">no positive value to plot<" in svg
+        assert hashlib.sha256(svg.encode()).hexdigest() == (
+            "50847c72d52ab3498ab52ea1ce6edc41e09d40d79b6b228725cea46b285f12dc"
+        )
 
 
 class TestErrorTaxonomy:
