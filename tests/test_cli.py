@@ -205,7 +205,8 @@ class TestCli:
     def test_all_zero_curve_svg(self, tmp_path, capsys):
         # F_A underflows at every swept threshold for 4096 elements: the
         # all-zero curve is valid, and its plot says there is nothing positive
-        text = open(os.path.join(SCENARIO_DIR, "aligned_elements.scenario")).read()
+        with open(os.path.join(SCENARIO_DIR, "aligned_elements.scenario")) as fh:
+            text = fh.read()
         scn = tmp_path / "many.scenario"
         scn.write_text(re.sub(r"n_elements = \d+", "n_elements = 4096", text))
         assert run_cli(["run", str(scn), "-o", str(tmp_path), "--svg"]) == 0
