@@ -172,12 +172,16 @@ _TAIL = 1e-17
 # standard deviation ~ 1/sqrt(shape)); the coarse rule reaches ~1e-10
 # relative accuracy on F_A, the fine one ~1e-13
 _PANEL_SCALE = (9.0, 6.5)
+# upper-tail probability at which the Gamma factors U ~ Gamma(k_a) and
+# V ~ Gamma(m_a) are cut
+_GAMMA_TAIL_Q = 1e-18
 # log of the smallest normal double
 _LOG_TINY = math.log(np.finfo(float).tiny)
 
 
-def _x_upper(p: KGParams, q: float = 1e-18) -> float:
-    """x beyond which 1 - F_A(x) < 2q (union bound on the Gamma factors)."""
+def _x_upper(p: KGParams) -> float:
+    """x beyond which 1 - F_A(x) < 2 _GAMMA_TAIL_Q (union bound on the Gamma factors)."""
+    q = _GAMMA_TAIL_Q
     return math.sqrt(sc.gammainccinv(p.k_a, q) * sc.gammainccinv(p.m_a, q)) / p.xi
 
 
@@ -188,8 +192,9 @@ def _panels_per_log(p: KGParams, fine: bool) -> float:
 def _cdf_A_quad_value(p: KGParams, x: float, per_log: float) -> float:
     """F_A(x), x > 0, as E_V[P(k_a, s/V)], s = (xi x)^2.
 
-    Below eps = s / Q_k (Q_k the 1e-18 upper quantile of Gamma(k_a)) the
-    inner P is 1 - O(1e-18), so that head is P(m_a, eps) in closed form.
+    Below eps = s / Q_k (Q_k the _GAMMA_TAIL_Q upper quantile of
+    Gamma(k_a)) the inner P is 1 - O(_GAMMA_TAIL_Q), so that head is
+    P(m_a, eps) in closed form.
     Above top = min(Q_m, v_cut) the V-integral is dropped: with P(k, y) <=
     y^k / Gamma(k+1) and F_A >= P(m_a, s/k_a) / 2, the part beyond v_cut
     is below _TAIL F_A.  In between, ceil(per_log log(top/eps)) geometric
@@ -201,8 +206,8 @@ def _cdf_A_quad_value(p: KGParams, x: float, per_log: float) -> float:
     """
     k, m = p.k_a, p.m_a
     log_s = 2.0 * (math.log(p.xi) + math.log(x))
-    log_eps = log_s - math.log(sc.gammainccinv(k, 1e-18))
-    log_top = math.log(sc.gammainccinv(m, 1e-18))
+    log_eps = log_s - math.log(sc.gammainccinv(k, _GAMMA_TAIL_Q))
+    log_top = math.log(sc.gammainccinv(m, _GAMMA_TAIL_Q))
     if k - m > 1e-3:  # the bound divides by k_a - m_a
         log_cut = log_s + (
             math.exp(log_s) / k - math.log(0.5 * _TAIL) + m * math.log(k) - math.log(m)

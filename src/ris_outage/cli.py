@@ -25,7 +25,7 @@ from dataclasses import replace as dc_replace
 from .errors import ConfigError, RisOutageError
 from .scenario import load_scenario
 from .svgplot import render_log_plot
-from .sweep import CSV_HEADER, derived_report, evaluate_sweep
+from .sweep import COLUMNS, CSV_HEADER, derived_report, evaluate_sweep
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -148,13 +148,11 @@ def _cmd_run(args) -> int:
     _write_atomic(csv_path, "\n".join(lines) + "\n")
     print(csv_path)
     if args.svg:
-        series = [("exact", [r.op_exact for r in rows])]
-        if any(r.op_asymptotic is not None for r in rows):
-            series.append(("asymptotic", [r.op_asymptotic for r in rows]))
-        if any(r.op_floor is not None for r in rows):
-            series.append(("floor", [r.op_floor for r in rows]))
-        if any(r.op_mc is not None for r in rows):
-            series.append(("monte carlo", [r.op_mc for r in rows]))
+        series = []
+        for name, legend in COLUMNS:
+            values = [getattr(r, name) for r in rows]
+            if legend is not None and any(v is not None for v in values):
+                series.append((legend, values))
         svg = render_log_plot(
             [r.sweep_value for r in rows], series, x_label=scn.sweep.variable
         )

@@ -1,5 +1,11 @@
 """Exception taxonomy shared by all modules."""
 
+__all__ = [
+    "RisOutageError", "DomainError", "NoConvergence", "OverflowGuard",
+    "MomentMatchFailure", "FloorUndefined", "DegenerateJitter",
+    "DegenerateParameters", "AsymptoteOutOfRegime", "ConfigError",
+]
+
 
 class RisOutageError(Exception):
     """Base class for every error raised by this package.  Its message

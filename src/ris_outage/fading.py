@@ -263,5 +263,6 @@ def sample_envelope(
     else:
         idx = rng.choice(len(d.weights), size=size, p=d.weights)
         sq = rng.gamma(shape=d.shapes[idx], scale=1.0 / d.rate)
-    out = np.sqrt(sq)
-    return out if np.ndim(out) else float(out)
+    if np.ndim(sq):
+        return np.sqrt(sq, out=sq)  # sq is this call's own array
+    return float(np.sqrt(sq))

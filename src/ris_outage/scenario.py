@@ -20,13 +20,14 @@ Example::
     sweep { variable = gamma_over_gamma_th_db  start = -10  stop = 10  points = 21 }
     mc { samples = 1000000  seed = 42 }
 
-Multiple `key = value` pairs may share a line inside `{ ... }`.  A block
-or key that is not part of the format is a parse error.  The keys and
-defaults of the `hardware`, `geometry`, `mc` and `sweep` blocks are the
-fields of `HardwareProfile`, `GeometryConfig`, `MCConfig` and
-`SweepSpec`, and those of a hop the arguments of `from_nakagami` or
-`from_rice` (with `k_r_db` in dB).  A value that the type or factory
-refuses is a parse error that names the block.
+Multiple `key = value` pairs may share a line inside `{ ... }`, and each
+`key = value` triple sits on one line.  A block or key that is not part
+of the format is a parse error.  The keys and defaults of the
+`hardware`, `geometry`, `mc` and `sweep` blocks are the fields of
+`HardwareProfile`, `GeometryConfig`, `MCConfig` and `SweepSpec`, and
+those of a hop the arguments of `from_nakagami` or `from_rice` (with
+`k_r_db` in dB).  A value that the type or factory refuses is a parse
+error that names the block.
 """
 
 from __future__ import annotations
@@ -42,15 +43,9 @@ from .outage import HardwareProfile
 
 __all__ = ["ScenarioFile", "SweepSpec", "parse_scenario", "load_scenario"]
 
-SWEEP_VARIABLES = (
-    "gamma_over_gamma_th_db",
-    "gamma_th",
-    "sigma_p",
-    "l2",
-    "alpha",
-    "phi",
-    "kappa",
-)
+# the GeometryConfig fields a sweep may vary
+GEOMETRY_SWEEPS = ("sigma_p", "l2", "alpha", "phi")
+SWEEP_VARIABLES = ("gamma_over_gamma_th_db", "gamma_th", *GEOMETRY_SWEEPS, "kappa")
 
 
 class ScenarioParseError(ConfigError):
@@ -158,69 +153,55 @@ _BLOCK_KEYS = {
 }
 
 
-def _tokenize(text: str):
-    """Yield (line_number, token) with tokens '{', '}', 'key=value' or 'name'."""
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        # normalize '=' spacing then split; braces become separate tokens
-        line = line.replace("{", " { ").replace("}", " } ").replace("=", " = ")
-        parts = line.split()
-        i = 0
-        while i < len(parts):
-            if i + 2 < len(parts) and parts[i + 1] == "=":
-                yield lineno, ("pair", parts[i], parts[i + 2])
-                i += 3
-            elif parts[i] == "{":
-                yield lineno, ("open", None, None)
-                i += 1
-            elif parts[i] == "}":
-                yield lineno, ("close", None, None)
-                i += 1
-            else:
-                yield lineno, ("name", parts[i], None)
-                i += 1
-
-
 def _parse_blocks(text: str) -> dict:
+    """The nested blocks of text, each value a (word, line) pair.  A line
+    splits into words with '{', '}' and '=' standing alone."""
     root: dict = {}
     stack: list[dict] = [root]
     paths: list[str] = [""]
     pending_name: str | None = None
     pending_line = 0
-    for lineno, (kind, a, b) in _tokenize(text):
-        if pending_name is not None and kind != "open":
-            raise ScenarioParseError(f"dangling block name '{pending_name}'", pending_line)
-        if kind == "name":
-            pending_name, pending_line = a, lineno
-        elif kind == "open":
-            if pending_name is None:
-                raise ScenarioParseError("'{' without a block name", lineno)
-            path = _join(paths[-1], pending_name)
-            if path not in _BLOCK_KEYS:
-                raise ScenarioParseError(
-                    f"unknown block '{pending_name}'", lineno, field_name=path
-                )
-            new: dict = {}
-            if pending_name in stack[-1]:
-                raise ScenarioParseError(f"duplicate block '{pending_name}'", lineno)
-            stack[-1][pending_name] = new
-            stack.append(new)
-            paths.append(path)
-            pending_name = None
-        elif kind == "close":
-            if len(stack) == 1:
-                raise ScenarioParseError("unmatched '}'", lineno)
-            stack.pop()
-            paths.pop()
-        else:  # pair
-            keys = _BLOCK_KEYS.get(paths[-1], ())
-            if keys is not None and a not in keys:
-                raise _bad_key("unknown", paths[-1], a, lineno)
-            if a in stack[-1]:
-                raise _bad_key("duplicate", paths[-1], a, lineno)
-            stack[-1][a] = (b, lineno)
+    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+        line = raw_line.split("#", 1)[0]
+        words = line.replace("{", " { ").replace("}", " } ").replace("=", " = ").split()
+        i = 0
+        while i < len(words):
+            word = words[i]
+            pair = i + 2 < len(words) and words[i + 1] == "="
+            if pending_name is not None and (pair or word != "{"):
+                raise ScenarioParseError(f"dangling block name '{pending_name}'", pending_line)
+            if pair:
+                keys = _BLOCK_KEYS.get(paths[-1], ())
+                if keys is not None and word not in keys:
+                    raise _bad_key("unknown", paths[-1], word, lineno)
+                if word in stack[-1]:
+                    raise _bad_key("duplicate", paths[-1], word, lineno)
+                stack[-1][word] = (words[i + 2], lineno)
+                i += 3
+                continue
+            i += 1
+            if word == "{":
+                if pending_name is None:
+                    raise ScenarioParseError("'{' without a block name", lineno)
+                path = _join(paths[-1], pending_name)
+                if path not in _BLOCK_KEYS:
+                    raise ScenarioParseError(
+                        f"unknown block '{pending_name}'", lineno, field_name=path
+                    )
+                if pending_name in stack[-1]:
+                    raise ScenarioParseError(f"duplicate block '{pending_name}'", lineno)
+                new: dict = {}
+                stack[-1][pending_name] = new
+                stack.append(new)
+                paths.append(path)
+                pending_name = None
+            elif word == "}":
+                if len(stack) == 1:
+                    raise ScenarioParseError("unmatched '}'", lineno)
+                stack.pop()
+                paths.pop()
+            else:
+                pending_name, pending_line = word, lineno
     if pending_name is not None:
         raise ScenarioParseError(f"dangling block name '{pending_name}'", pending_line)
     if len(stack) != 1:
@@ -332,7 +313,7 @@ def parse_scenario(text: str) -> ScenarioFile:
             "sweeps other than gamma_over_gamma_th_db need link { gamma_db = ... }",
             field_name="link.gamma_db",
         )
-    if variable in ("sigma_p", "l2", "alpha", "phi") and "geometry" not in typed:
+    if variable in GEOMETRY_SWEEPS and "geometry" not in typed:
         raise ScenarioParseError(
             f"sweep over {variable} requires a geometry block",
             field_name="geometry",

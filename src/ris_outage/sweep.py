@@ -33,9 +33,20 @@ from .outage import (
 )
 from .scenario import ScenarioFile, _from_db
 
-__all__ = ["SweepRow", "evaluate_sweep", "derived_report", "CSV_HEADER"]
+__all__ = ["SweepRow", "evaluate_sweep", "derived_report"]
 
-CSV_HEADER = "sweep_value,op_exact,op_asymptotic,op_floor,op_mc,mc_stderr,flags"
+# the curve's columns in CSV order: each a SweepRow field, and the legend
+# of its --svg series (None: not plotted)
+COLUMNS = (
+    ("sweep_value", None),
+    ("op_exact", "exact"),
+    ("op_asymptotic", "asymptotic"),
+    ("op_floor", "floor"),
+    ("op_mc", "monte carlo"),
+    ("mc_stderr", None),
+    ("flags", None),
+)
+CSV_HEADER = ",".join(name for name, _ in COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -49,20 +60,12 @@ class SweepRow:
     flags: tuple[str, ...]
 
     def csv_line(self) -> str:
-        def fmt(v):
-            return "" if v is None else f"{v:.12g}"
+        def cell(v):
+            if v is None:
+                return ""
+            return ";".join(v) if isinstance(v, tuple) else f"{v:.12g}"
 
-        return ",".join(
-            [
-                f"{self.sweep_value:.12g}",
-                fmt(self.op_exact),
-                fmt(self.op_asymptotic),
-                fmt(self.op_floor),
-                fmt(self.op_mc),
-                fmt(self.mc_stderr),
-                ";".join(self.flags),
-            ]
-        )
+        return ",".join(cell(getattr(self, name)) for name, _ in COLUMNS)
 
 
 def _point_inputs(scn: ScenarioFile, value: float):

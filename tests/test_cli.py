@@ -97,6 +97,27 @@ class TestParser:
         with pytest.raises(ScenarioParseError, match=match):
             parse_scenario(MINIMAL.replace(old, new, 1))
 
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ("ris {", "ris", "dangling block name 'ris' (line 6)"),
+            ("", "mc\n", "dangling block name 'mc' (line 9)"),
+            ("ris {", "{", "'{' without a block name (line 6)"),
+            ("", "ris { }\n", "duplicate block 'ris' (line 9)"),
+            ("", "}\n", "unmatched '}' (line 9)"),
+            ("", "mc {\n", "unclosed block at end of file"),
+            ("n_elements = 4", "n_elements =\n4",
+             "dangling block name 'n_elements' (line 6)"),
+        ],
+        ids=["name_then_pair", "name_at_end", "open_without_name", "duplicate_block",
+             "unmatched_close", "unclosed_block", "value_on_next_line"],
+    )
+    def test_block_structure_errors(self, old, new, message):
+        text = MINIMAL.replace(old, new, 1) if old else MINIMAL + new
+        with pytest.raises(ScenarioParseError) as info:
+            parse_scenario(text)
+        assert str(info.value) == message
+
     def test_duplicate_key(self):
         bad = MINIMAL.replace("n_elements = 4", "n_elements = 4  n_elements = 16")
         match = r"duplicate key 'n_elements' \(line 6, field 'ris.n_elements'\)"

@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import importlib
 import math
 import xml.etree.ElementTree as ET
 from concurrent.futures import ThreadPoolExecutor
@@ -21,6 +22,7 @@ from ris_outage import (
     pdf_Ae2e,
     parse_scenario,
 )
+import ris_outage
 from ris_outage import errors
 from ris_outage.svgplot import render_log_plot
 from ris_outage.sweep import evaluate_sweep
@@ -209,3 +211,43 @@ class TestErrorTaxonomy:
                     used.add(target.id)
         assert subclasses
         assert subclasses <= used, sorted(subclasses - used)
+
+
+# the package's public names: a change to this set is a change of API
+PUBLIC_NAMES = frozenset(
+    [
+        "AsymptoteOutOfRegime", "ConfigError", "DegenerateJitter",
+        "DegenerateParameters", "DiversityReport", "DomainError", "FloorUndefined",
+        "GeometryConfig", "HardwareProfile", "KGParams", "LinkBudget", "MCConfig",
+        "MCEstimate", "MGDistribution", "MisalignmentStats", "MomentMatchFailure",
+        "NoConvergence", "OutageScenario", "OverflowGuard", "RisOutageError",
+        "ScenarioFile", "SweepRow", "SweepSpec", "average_snr", "beamwidth", "cdf_A",
+        "cdf_Ae2e", "cdf_Ae2e_quadrature", "coherence_length", "derived_report",
+        "diversity_order", "envelope_moment", "envelope_pdf", "evaluate_sweep",
+        "from_nakagami", "from_rice", "hg_pdf", "hyp1f2", "load_scenario",
+        "max_threshold", "misalignment_stats", "moment_match", "op_asymptotic",
+        "op_exact", "op_floor", "parse_scenario", "pdf_A", "pdf_Ae2e",
+        "product_moment", "product_pdf", "sample_envelope", "sample_hg",
+        "simulate_cdf", "simulate_curve", "simulate_op", "sum_moments",
+    ]
+)
+SUBMODULES = (
+    "cascade", "cli", "errors", "fading", "geometry", "montecarlo", "outage",
+    "scenario", "special", "svgplot", "sweep",
+)
+
+
+class TestPackageSurface:
+    def test_package_exports_the_public_names_once(self):
+        assert len(ris_outage.__all__) == len(set(ris_outage.__all__))
+        assert set(ris_outage.__all__) == PUBLIC_NAMES
+
+    def test_every_export_resolves(self):
+        for name in ris_outage.__all__:
+            assert getattr(ris_outage, name, None) is not None, name
+
+    @pytest.mark.parametrize("name", SUBMODULES)
+    def test_submodule_all_names_exist(self, name):
+        module = importlib.import_module(f"ris_outage.{name}")
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not missing, missing
