@@ -5,6 +5,13 @@ tight-beam regime, where outage reaches depths (1e-9 and below) that no
 Monte Carlo run can certify; only the dual closed-form/quadrature routes
 operate there.
 
+Both routes price the moment-matched generalized-K surrogate of the
+cascade sum, not the physical sum of N products, and the two part in the
+deep tail: on Nakagami(1) x Rice(5 dB) at N = 4 the surrogate's CDF of
+A (the aligned OP) is 41% high at 1e-4, 2.2x at 1e-6 and 5.3x at 1e-9;
+at N = 16 (this script's array) it is 7%, 21% and 63% high.  Read every
+outage below as the surrogate's.
+
 Interpretation caveat: with both jitters active, the split of the total
 jitter 4 sigma_p^2 + 4 d_x^2 sigma_o^2 between position and orientation
 is only identifiable jointly with the mean-offset parameter d_x, and
@@ -34,7 +41,7 @@ GAMMA_OVER_TH_DB = 5.0
 gamma = 10.0 ** (GAMMA_OVER_TH_DB / 10.0)
 
 print(f"d_x = {D_X} m, gamma/gamma_th = {GAMMA_OVER_TH_DB} dB, N = 16")
-print("sigma_p  sigma_o |     B_o     zeta   |  outage")
+print("sigma_p  sigma_o |     B_o     zeta   |  outage (surrogate)")
 for sigma_p in (0.01, 0.03, 0.05, 0.1):
     for sigma_o in (0.01, 0.1, 1.0):
         cfg = GeometryConfig(
@@ -52,4 +59,6 @@ print(
     "\nSmaller jitter means larger zeta: the loss concentrates near B_o and"
     "\nthe outage plunges; Monte Carlo cannot reach these depths, which is"
     "\nwhy the library carries two independent closed-form/quadrature routes."
+    "\nBoth price the moment-matched surrogate: at N = 16 its CDF of A is 7%,"
+    "\n21% and 63% above the physical sum's at 1e-4, 1e-6 and 1e-9."
 )

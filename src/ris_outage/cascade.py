@@ -22,7 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special as sc
 
-from .errors import DomainError, MomentMatchFailure, NoConvergence, OverflowGuard
+from .errors import (
+    DegenerateParameters, DomainError, MomentMatchFailure, NoConvergence, OverflowGuard,
+)
 from .fading import MGDistribution, product_moment
 from .geometry import MisalignmentStats
 from .special import _hyp1f2_diag, _log_gen_k
@@ -331,8 +333,15 @@ def _log_series(
     the largest of |T0| and |C_s u^(2s)|.  Where w > 0 and that bound
     reaches _COND_LIMIT, the 1F2 are not summed and the zero-sum result
     (0.0, -inf, inf) is returned: _series_log would reject the sum anyway.
+    Raises DegenerateParameters where _series_defined says the expansion
+    does not exist.
     """
     zeta = None if mis is None else mis.zeta
+    if not _series_defined(p, zeta):
+        raise DegenerateParameters(
+            f"high-SNR expansion undefined at k_a - m_a = {p.k_a - p.m_a!r},"
+            f" zeta = {zeta!r} (a pole of its coefficients)"
+        )
     u = x if mis is None else x / mis.b_o
     if w is None:
         w = (p.xi * u) ** 2
@@ -363,31 +372,21 @@ def _log_series(
     return sign_total, log_total, math.exp(min(log_peak - log_total, 700.0))
 
 
-def _is_degenerate_order(p: KGParams) -> bool:
-    d = p.k_a - p.m_a
-    return abs(d - round(d)) <= _DEGENERACY_BAND
-
-
-def _zeta_pole_distance(p: KGParams, zeta: float) -> float:
-    """Distance of zeta/2 from the pole lattice {s + n, n >= 0} of the
-    series expansion, for s in {k_a, m_a}."""
-    half = zeta / 2.0
-    dist = math.inf
-    for s in (p.k_a, p.m_a):
-        delta = half - s
-        if delta < 0.0:
-            dist = min(dist, -delta)
-        else:
-            dist = min(dist, abs(delta - round(delta)))
-    return dist
-
-
 def _series_defined(p: KGParams, zeta: float | None = None) -> bool:
     """Whether the series expansion exists: k_a - m_a off the integers
-    and, under misalignment, zeta/2 off the pole lattice."""
-    return not _is_degenerate_order(p) and (
-        zeta is None or _zeta_pole_distance(p, zeta) > _DEGENERACY_BAND
-    )
+    and, under misalignment, zeta/2 off the pole lattice {s + n, n >= 0},
+    s in {k_a, m_a}.  e = zeta/2 - s lies max(-e, |e - round(e)|) from
+    {0, 1, 2, ...}."""
+    d = p.k_a - p.m_a
+    if abs(d - round(d)) <= _DEGENERACY_BAND:
+        return False
+    if zeta is None:
+        return True
+    for s in (p.k_a, p.m_a):
+        e = zeta / 2.0 - s
+        if max(-e, abs(e - round(e))) <= _DEGENERACY_BAND:
+            return False
+    return True
 
 
 def _series_log(p: KGParams, mis: MisalignmentStats | None, x: float) -> float | None:
@@ -395,11 +394,9 @@ def _series_log(p: KGParams, mis: MisalignmentStats | None, x: float) -> float |
     expansion is defined, sums without NoConvergence, and is a
     probability with cond below _COND_LIMIT.  None otherwise.  This is
     the one accept test of the series route."""
-    if not _series_defined(p, None if mis is None else mis.zeta):
-        return None
     try:
         sign, logmag, cond = _log_series(p, mis, x)
-    except NoConvergence:
+    except (DegenerateParameters, NoConvergence):
         return None
     return logmag if sign > 0.0 and logmag <= 0.0 and cond < _COND_LIMIT else None
 

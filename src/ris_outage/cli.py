@@ -46,8 +46,10 @@ def _write_atomic(path: str, content: str) -> None:
         raise
 
 
-def _selftest(out=sys.stdout) -> int:
-    """Dual-path and determinism spot checks; 0 iff everything agrees."""
+def _selftest(out=None) -> int:
+    """Dual-path and determinism spot checks, printed to out (sys.stdout
+    at the call when None); 0 iff everything agrees."""
+    out = sys.stdout if out is None else out
     from .cascade import (
         _cdf_A_quadrature,
         _series_log,
@@ -139,7 +141,11 @@ def _cmd_run(args) -> int:
         raise ConfigError("a scenario file is required unless --selftest")
     scn = load_scenario(args.scenario)
     if args.gamma_th is not None:
+        if scn.sweep.variable == "gamma_th":
+            raise ConfigError("--rate-threshold is not used: the gamma_th sweep sets gamma_th")
         scn = dc_replace(scn, gamma_th=args.gamma_th)
+    if args.mc and scn.mc is None:
+        raise ConfigError("--mc needs an mc block in the scenario")
     rows = evaluate_sweep(scn, with_mc=args.mc)
 
     os.makedirs(args.output, exist_ok=True)

@@ -19,13 +19,11 @@ from .cascade import (
     _expansion_terms,
     _log_cdf,
     _log_series,
-    _series_defined,
     cdf_A,
     cdf_Ae2e,
 )
 from .errors import (
     AsymptoteOutOfRegime,
-    DegenerateParameters,
     DomainError,
     FloorUndefined,
 )
@@ -113,22 +111,16 @@ def op_asymptotic(s: OutageScenario) -> float:
 
     Aligned case: sum over branches of C_b x^(2b).  Misaligned case: the
     x^zeta term T0 plus sum over branches of C_b x^(2b) (1 - 2b/(2b - zeta))
-    (all arguments scaled by B_o).  Raises DegenerateParameters where the
-    expansion is undefined, and AsymptoteOutOfRegime where the truncated
-    sum is not a probability below 1 (far from the high-SNR regime).
+    (all arguments scaled by B_o).  Raises DegenerateParameters (from
+    _log_series) where the expansion is undefined, and AsymptoteOutOfRegime
+    where the truncated sum is not a probability below 1 (far from the
+    high-SNR regime).
     """
     eff = _effective_threshold(s)
     if eff is None:
         return 1.0
-    p = s.kg
-    zeta = None if s.mis is None else s.mis.zeta
-    if not _series_defined(p, zeta):
-        raise DegenerateParameters(
-            f"high-SNR expansion undefined at k_a - m_a = {p.k_a - p.m_a!r},"
-            f" zeta = {zeta!r} (a pole of its coefficients)"
-        )
     x = math.sqrt(eff / s.gamma)
-    sign, logmag, _ = _log_series(p, s.mis, x, w=0.0)
+    sign, logmag, _ = _log_series(s.kg, s.mis, x, w=0.0)
     if sign <= 0.0 or logmag >= 0.0:
         raise AsymptoteOutOfRegime(
             f"high-SNR expansion is {'non-positive' if sign <= 0.0 else '>= 1'}"

@@ -169,7 +169,8 @@ def _parse_blocks(text: str) -> dict:
             word = words[i]
             pair = i + 2 < len(words) and words[i + 1] == "="
             if pending_name is not None and (pair or word != "{"):
-                raise ScenarioParseError(f"dangling block name '{pending_name}'", pending_line)
+                what = "missing value for key" if word == "=" else "dangling block name"
+                raise ScenarioParseError(f"{what} '{pending_name}'", pending_line)
             if pair:
                 keys = _BLOCK_KEYS.get(paths[-1], ())
                 if keys is not None and word not in keys:
@@ -308,6 +309,12 @@ def parse_scenario(text: str) -> ScenarioFile:
     link = _link(root.get("link", {}))
 
     variable = typed["sweep"].variable
+    if variable == "gamma_over_gamma_th_db" and "gamma" in link:
+        raise ScenarioParseError(
+            "gamma_db is not used: the gamma_over_gamma_th_db sweep sets gamma",
+            root["link"]["gamma_db"][1],
+            field_name="link.gamma_db",
+        )
     if variable != "gamma_over_gamma_th_db" and "gamma" not in link:
         raise ScenarioParseError(
             "sweeps other than gamma_over_gamma_th_db need link { gamma_db = ... }",

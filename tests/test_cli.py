@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import os
 import re
@@ -107,7 +109,7 @@ class TestParser:
             ("", "}\n", "unmatched '}' (line 9)"),
             ("", "mc {\n", "unclosed block at end of file"),
             ("n_elements = 4", "n_elements =\n4",
-             "dangling block name 'n_elements' (line 6)"),
+             "missing value for key 'n_elements' (line 6)"),
         ],
         ids=["name_then_pair", "name_at_end", "open_without_name", "duplicate_block",
              "unmatched_close", "unclosed_block", "value_on_next_line"],
@@ -562,7 +564,35 @@ class TestCli:
         assert (out1 / "curve.csv").read_bytes() != (out3 / "curve.csv").read_bytes()
 
     def test_selftest_passes(self):
-        assert run_cli(["run", "--selftest"]) == 0
+        # the report goes to sys.stdout as it is at the call, not at import
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink):
+            assert run_cli(["run", "--selftest"]) == 0
+        assert sink.getvalue().endswith("selftest passed\n")
+
+    @pytest.mark.parametrize(
+        "old,new,flags,message",
+        [
+            ("sweep {", "link { gamma_th = 1.0  gamma_db = 50 }\nsweep {", [],
+             "scenario error: gamma_db is not used: the gamma_over_gamma_th_db sweep sets"
+             " gamma (line 8, field 'link.gamma_db')"),
+            ("sweep { variable = gamma_over_gamma_th_db  start = 0  stop = 10",
+             "link { gamma_db = 10 }\nsweep { variable = gamma_th  start = 0.5  stop = 2",
+             ["--rate-threshold", "1.0"],
+             "scenario error: --rate-threshold is not used: the gamma_th sweep sets gamma_th"),
+            ("", "", ["--mc"], "scenario error: --mc needs an mc block in the scenario"),
+        ],
+        ids=["gamma-db-on-ratio-sweep", "rate-threshold-on-threshold-sweep", "mc-without-block"],
+    )
+    def test_ignored_input_exit_code(self, tmp_path, capsys, old, new, flags, message):
+        # an input the run would not use is refused, never silently dropped
+        scn = tmp_path / "ignored.scenario"
+        scn.write_text(MINIMAL.replace(old, new, 1))
+        out = tmp_path / "out"
+        assert run_cli(["run", str(scn), "-o", str(out), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n" and captured.out == ""
+        assert not out.exists()
 
     def test_console_script_entry(self):
         proc = subprocess.run(
