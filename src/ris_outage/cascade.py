@@ -357,7 +357,8 @@ def _log_series(
                 s - zeta / 2.0, 1.0 + s - o, 1.0 + s - zeta / 2.0, w
             )
             ratio = 2.0 * s / (2.0 * s - zeta)
-            bracket -= ratio * f_shift
+            # at w = 0 both 1F2 are 1, and 1 - ratio loses digits at small zeta
+            bracket = -zeta / (2.0 * s - zeta) if w == 0.0 else bracket - ratio * f_shift
             peak = max(peak, abs(ratio) * pk_shift, abs(bracket))
         log_peak = max(log_peak, lc + math.log(peak))
         if bracket != 0.0:

@@ -136,6 +136,12 @@ def _selftest(out=None) -> int:
 
 def _cmd_run(args) -> int:
     if args.selftest:
+        extra = [name for name, given in (
+            ("a scenario", args.scenario is not None), ("-o", args.output != "."),
+            ("--svg", args.svg), ("--mc", args.mc), ("--rate-threshold", args.gamma_th is not None),
+        ) if given]
+        if extra:
+            raise ConfigError(f"--selftest takes no other argument, got {', '.join(extra)}")
         return _selftest()
     if args.scenario is None:
         raise ConfigError("a scenario file is required unless --selftest")

@@ -30,10 +30,9 @@ __all__ = [
 ]
 
 _NORMALIZATION_TOL = 1e-9
-_RICE_MAX_TERMS = 60  # factorial growth past float range beyond this
-_RICE_DROPPED_MASS = 1e-2
-# a Rice law whose truncation drops at most this mass samples as Rice
-_RICE_EXACT_MASS = 1e-9
+# from_rice keeps terms until the Poisson tail it drops is at most this
+_RICE_TAIL = 1e-20
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -48,8 +47,8 @@ class MGDistribution:
     coeffs: np.ndarray = field(init=False, repr=False, compare=False)
     shapes: np.ndarray = field(init=False, repr=False, compare=False)
     weights: np.ndarray = field(init=False, repr=False, compare=False)
-    # linear K-factor where from_rice built a mixture that is the Rice law
-    # to within _RICE_EXACT_MASS: sample_envelope then draws Rice directly
+    # linear K-factor of a from_rice law with k_r > 0: sample_envelope
+    # then draws Rice directly
     rice_k: float | None = field(init=False, default=None, compare=False)
 
     def __post_init__(self):
@@ -97,50 +96,35 @@ def from_nakagami(m: float, omega: float = 1.0) -> MGDistribution:
 
 
 def from_rice(k_r: float, n_terms: int = 20) -> MGDistribution:
-    """Rice envelope (linear K-factor k_r, unit mean power) approximated by
-    an n_terms mixture with b_k = k and rate = 1 + k_r.
+    """Rice envelope (linear K-factor k_r, unit mean power) as the Poisson
+    mixture of Gammas with b_k = k and rate = 1 + k_r, cut after
+    max(n_terms, n*) terms.
 
     The k-th raw weight is delta(k) = k_r^(k-1) (1+k_r)^k /
-    (e^(k_r) ((k-1)!)^2); the returned coefficients are normalized so the
-    mixture integrates to one exactly.  Truncation drops the weight
-    P(Poisson(k_r) >= n_terms) of the exact law, which normalization
-    would hide: DomainError where that exceeds 1e-2, naming the smallest
-    n_terms that would do (20 terms hold up to k_r = 10.44 dB, 60 terms
-    up to 16.38 dB).  A multi-term law that drops at most 1e-9 (k_r up to
-    5.4 dB at 20 terms) records k_r as rice_k, so that sample_envelope
-    draws the Rice law itself; elsewhere it draws the truncated mixture
-    that the closed forms price.
+    (e^(k_r) ((k-1)!)^2), and the cut drops P(Poisson(k_r) >= n) of the
+    law.  n* is the smallest count that drops at most 1e-20, so the law
+    is the Rice law to double precision: 5, 10 and 20 dB keep 32, 52 and
+    207 terms, and below about -0.6 dB the default 20 already reach that
+    tail.  The coefficients are normalized so the mixture integrates to
+    one exactly.  The largest coefficient, near k = k_r + 1, is about
+    e^(k_r - 0.84): OverflowGuard past k_r = log(float max) = 709.78
+    (28.51 dB).  k_r > 0 is recorded as rice_k, so that sample_envelope
+    draws Rice itself.
     """
     if k_r < 0 or not math.isfinite(k_r):
         raise DomainError(f"Rice K-factor must be finite and >= 0, got {k_r}")
     if n_terms < 1:
         raise DomainError(f"n_terms must be >= 1, got {n_terms}")
-    if n_terms > _RICE_MAX_TERMS:
-        raise OverflowGuard(f"n_terms = {n_terms} would overflow factorial growth")
-    dropped = float(sc.gammainc(n_terms, k_r))
-    if dropped > _RICE_DROPPED_MASS:
-        counts = np.arange(n_terms + 1, _RICE_MAX_TERMS + 1)
-        enough = counts[sc.gammainc(counts, k_r) <= _RICE_DROPPED_MASS]
-        hint = (
-            f"n_terms >= {enough[0]} keeps it below {_RICE_DROPPED_MASS:g}"
-            if enough.size
-            else f"no n_terms <= {_RICE_MAX_TERMS} keeps it below {_RICE_DROPPED_MASS:g}"
-        )
-        raise DomainError(
-            f"Rice K-factor {k_r:g} with n_terms = {n_terms} drops mixture weight "
-            f"{dropped:.3g}; {hint}"
-        )
+    if k_r > _LOG_MAX:
+        raise OverflowGuard(f"Rice K-factor {k_r:g}: mixture coefficients exceed float range")
+    counts = np.arange(1.0, k_r + 12.0 * math.sqrt(k_r) + 40.0)
+    n = max(n_terms, int(counts[sc.gammainc(counts, k_r) <= _RICE_TAIL][0]))
     rate = 1.0 + k_r
-    ks = np.arange(1, n_terms + 1, dtype=float)
-    if k_r == 0.0:
-        log_delta = np.where(ks == 1.0, 0.0, -np.inf)
-    else:
-        log_delta = (
-            (ks - 1.0) * math.log(k_r)
-            + ks * math.log1p(k_r)
-            - k_r
-            - 2.0 * sc.gammaln(ks)
-        )
+    # past e^2 rate and 373 terms every coefficient underflows to zero
+    # (Stirling), so a larger n_terms adds nothing
+    ks = np.arange(1.0, min(n, max(373, math.ceil(math.e**2 * rate))) + 1.0)
+    # xlogy(0, 0) = 0: at k_r = 0 only the k = 1 term is left
+    log_delta = sc.xlogy(ks - 1.0, k_r) + ks * math.log1p(k_r) - k_r - 2.0 * sc.gammaln(ks)
     # delta_k Gamma(k) rate^-k, summed in log space for large K-factors.
     # This is scipy.special.logsumexp's formula written out (the call cost
     # 0.13 ms): the n_top largest entries leave the sum and come back as
@@ -155,8 +139,8 @@ def from_rice(k_r: float, n_terms: int = 20) -> MGDistribution:
     log_denom = np.log1p(rest.sum() / n_top) + np.log(n_top) + top
     a = np.exp(log_delta - log_denom)
     terms = tuple((ai, k) for ai, k in zip(a.tolist(), ks.tolist()) if ai > 0.0)
-    d = MGDistribution(terms=terms, rate=rate, label=f"rice(K={k_r:g}, terms={n_terms})")
-    if len(terms) > 1 and dropped <= _RICE_EXACT_MASS:
+    d = MGDistribution(terms=terms, rate=rate, label=f"rice(K={k_r:g}, terms={len(terms)})")
+    if k_r > 0.0:
         object.__setattr__(d, "rice_k", float(k_r))
     return d
 
@@ -235,18 +219,18 @@ def sample_envelope(
 ) -> np.ndarray | float:
     """Exact draw(s) of the envelope.
 
-    A law with rice_k set draws the Rice construction: the squared
-    envelope is ((Z1 + sqrt(2K))^2 + Z2^2) / (2(1+K)) for standard normals
-    Z1, Z2, taken from one standard_normal((2, *size)) and formed in place
-    (square-and-add: np.hypot costs ~5x more).  This is ~2x cheaper than
-    the mixture draw, and the truncation it ignores is below 1e-9.  A
-    single-term law (Nakagami) draws its Gamma directly, at shape 1 as
+    A law with rice_k set, every from_rice law with k_r > 0, draws the
+    Rice construction: the squared envelope is ((Z1 + sqrt(2K))^2 +
+    Z2^2) / (2(1+K)) for standard normals Z1, Z2, taken from one
+    standard_normal((2, *size)) and formed in place (square-and-add:
+    np.hypot costs ~5x more).  This is ~2x cheaper than the mixture draw.
+    A single-term law (Nakagami) draws its Gamma directly, at shape 1 as
     standard_exponential: the draws and generator state of
-    standard_gamma(1.0), for less.  Any other law picks a component by
-    weight, draws the squared envelope from Gamma(b_m, rate) and takes
-    its square root.  Monte Carlo draws (chunk, N) envelopes per hop at a
-    time, 8192 x N, so that a chunk's arrays stay near 1 MB
-    (see montecarlo._CHUNK_SIZE).
+    standard_gamma(1.0), for less.  Any other law, built by hand as an
+    MGDistribution, picks a component by weight, draws the squared
+    envelope from Gamma(b_m, rate) and takes its square root.  Monte
+    Carlo draws (chunk, N) envelopes per hop at a time, 8192 x N, so that
+    a chunk's arrays stay near 1 MB (see montecarlo._CHUNK_SIZE).
     """
     if d.rice_k is not None:
         dims = () if size is None else tuple(np.atleast_1d(size))

@@ -110,7 +110,7 @@ def op_asymptotic(s: OutageScenario) -> float:
     cascade._log_series, at w = 0, where every 1F2 factor is 1.
 
     Aligned case: sum over branches of C_b x^(2b).  Misaligned case: the
-    x^zeta term T0 plus sum over branches of C_b x^(2b) (1 - 2b/(2b - zeta))
+    x^zeta term T0 plus sum over branches of C_b x^(2b) (-zeta/(2b - zeta))
     (all arguments scaled by B_o).  Raises DegenerateParameters (from
     _log_series) where the expansion is undefined, and AsymptoteOutOfRegime
     where the truncated sum is not a probability below 1 (far from the

@@ -421,9 +421,8 @@ class TestCli:
             # (m/omega)^m / Gamma(m) leaves float range
             ("m = 1.0 }", "m = 1e6 }", "fading.hop1"),
             ("n_terms = 20", "n_terms = 0", "fading.hop2"),
-            ("n_terms = 20", "n_terms = 100", "fading.hop2"),
-            # 20 terms drop 0.53 of the 13 dB Rice law
-            ("k_r_db = 5.0", "k_r_db = 13", "fading.hop2"),
+            # the Rice mixture coefficients leave float range past 28.51 dB
+            ("k_r_db = 5.0", "k_r_db = 29", "fading.hop2"),
             ("kappa_s = 0.0", "kappa_s = 1.5", "hardware"),
             ("sweep {", "geometry { l2 = -5  w_o = 1e-3  f = 100e9  cn2 = 2.3e-9  "
              "alpha = 0.1  theta = 5.5  phi = 2.1  sigma_p = 0.05 }\nsweep {", "geometry"),
@@ -434,7 +433,7 @@ class TestCli:
             ("sweep {", "link { gamma_db = 4000 }\nsweep {", "link.gamma_db"),
         ],
         ids=["nakagami-m", "nakagami-omega", "nakagami-huge-m", "rice-no-terms",
-             "rice-too-many-terms", "rice-dropped-mass", "kappa-s", "geometry-l2",
+             "rice-past-float-range", "kappa-s", "geometry-l2",
              "mc-workers", "two-thresholds", "zero-threshold", "gamma-db-overflow"],
     )
     def test_out_of_domain_value_exit_code(self, tmp_path, old, new, field):
@@ -569,6 +568,18 @@ class TestCli:
         with contextlib.redirect_stdout(sink):
             assert run_cli(["run", "--selftest"]) == 0
         assert sink.getvalue().endswith("selftest passed\n")
+
+    def test_selftest_with_other_arguments_exit_code(self, tmp_path, capsys):
+        # the selftest would drop the scenario and the flags, so it refuses them
+        scn = tmp_path / "minimal.scenario"
+        scn.write_text(MINIMAL)
+        out = tmp_path / "out"
+        argv = ["run", str(scn), "--selftest", "--mc", "--rate-threshold", "3", "-o", str(out)]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("scenario error: --selftest takes no other argument, got a"
+                                " scenario, -o, --mc, --rate-threshold\n")
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize(
         "old,new,flags,message",

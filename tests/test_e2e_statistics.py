@@ -278,6 +278,21 @@ class TestCdfA:
                 got = cdf_A(p, x)
                 assert got == pytest.approx(ref, rel=1e-8, abs=0.0), (p.k_a, p.m_a, x)
 
+    @pytest.mark.parametrize(
+        "k_db,n,fractions",
+        [(10.0, 16, (0.85, 0.95, 1.0, 1.05, 1.15)), (20.0, 1, (0.2, 0.5, 0.8, 1.0, 1.3)),
+         (20.0, 8, (0.7, 0.85, 1.0, 1.1, 1.25))],
+    )
+    def test_strong_rice_hop_against_mc(self, k_db, n, fractions):
+        # the closed form prices the Rice law that Monte Carlo draws, at
+        # K-factors whose mixture needs 52 and 207 terms
+        d1, d2 = from_nakagami(1.0), from_rice(10.0 ** (k_db / 10.0))
+        p = moment_match(d1, d2, n)
+        grid = np.array(fractions) * math.sqrt(p.omega_a)
+        for x, p_hat, stderr in simulate_cdf(d1, d2, n, None, grid,
+                                             MCConfig(2**20, seed=n, workers=2)):
+            assert abs(cdf_A(p, x) - p_hat) <= 4.0 * stderr, x
+
     def test_large_array_against_mp_reference(self):
         # N = 1024: shapes past 800, far beyond the old conditioning limit
         p = kg_reference(1024)

@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sc
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import ks_2samp, kstest
@@ -61,16 +61,28 @@ def mp_product_pdf(d1, d2, x):
         return total
 
 
+def mp_rice_moment(k_r, n):
+    """E[R^n] = Gamma(1 + n/2) (1+K)^(-n/2) 1F1(-n/2; 1; -K) of the unit-power
+    Rice envelope (Simon & Alouini, Digital Communication over Fading
+    Channels, 2nd ed., 2005), to 40 digits."""
+    with mp.workdps(40):
+        k, h = mp.mpf(k_r), mp.mpf(n) / 2
+        return mp.gamma(1 + h) * (1 + k) ** (-h) * mp.hyp1f1(-h, 1, -k)
+
+
+def mixture_twin(d):
+    """d built by hand: its terms and rate without rice_k, so that
+    sample_envelope picks mixture components."""
+    return MGDistribution(terms=d.terms, rate=d.rate)
+
+
 @st.composite
 def accepted_laws(draw):
     """An envelope law the scenario parser accepts: Nakagami m in
-    [0.5, 300], or Rice K in [0, 16.4] dB with an n_terms from_rice takes."""
+    [0.5, 300], or Rice K in [0, 28] dB with any n_terms >= 1."""
     if draw(st.booleans()):
         return from_nakagami(draw(st.floats(0.5, 300.0)))
-    k_r = 10.0 ** (draw(st.floats(0.0, 16.4)) / 10.0)
-    n_min = next((n for n in range(1, 61) if sc.gammainc(n, k_r) <= 1e-2), None)
-    assume(n_min is not None)
-    return from_rice(k_r, draw(st.integers(n_min, 60)))
+    return from_rice(10.0 ** (draw(st.floats(0.0, 28.0)) / 10.0), draw(st.integers(1, 1000)))
 
 
 class TestNakagamiMapping:
@@ -111,14 +123,12 @@ class TestRiceMapping:
     @pytest.mark.parametrize("n_terms", [1, 2, 5, 20, 40, 60])
     def test_normalization_bits_match_scipy_logsumexp(self, n_terms):
         # oracle: the raw weights normalized by scipy.special.logsumexp,
-        # which from_rice writes out; every coefficient must keep its bits
-        compared = 0
-        for k_r in [0.0, 1e-3, *np.geomspace(1e-4, 10.0 ** 1.044, 60)]:
-            try:
-                d = from_rice(float(k_r), n_terms)
-            except DomainError:
-                continue
-            ks = np.arange(1, n_terms + 1, dtype=float)
+        # which from_rice writes out; every coefficient must keep its bits.
+        # The law's last shape is its term count: the terms past it
+        # underflow to zero and carry no bit of the sum
+        for k_r in [0.0, 1e-3, *np.geomspace(1e-4, 10.0 ** 2.8, 60)]:
+            d = from_rice(float(k_r), n_terms)
+            ks = np.arange(1.0, d.shapes[-1] + 1.0)
             if k_r == 0.0:
                 log_delta = np.where(ks == 1.0, 0.0, -np.inf)
             else:
@@ -127,8 +137,6 @@ class TestRiceMapping:
             log_mass = log_delta + sc.gammaln(ks) - ks * math.log(1.0 + k_r)
             a = np.exp(log_delta - sc.logsumexp(log_mass))
             assert d.terms == tuple((float(ai), float(k)) for ai, k in zip(a, ks) if ai > 0.0)
-            compared += 1
-        assert compared >= 2
 
     def test_weights_positive(self):
         d = from_rice(RICE_5DB, 20)
@@ -143,25 +151,44 @@ class TestRiceMapping:
         assert stat <= 0.005
 
     def test_guards(self):
+        for bad in (-0.1, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                from_rice(bad)
         with pytest.raises(DomainError):
-            from_rice(-0.1)
-        with pytest.raises(OverflowGuard):
-            from_rice(1.0, 61)
+            from_rice(1.0, 0)
+        # the largest coefficient, about e^(K - 0.84), leaves float range
+        # past K = 709.78 (28.51 dB)
+        from_rice(709.78)
+        for k_r in (709.79, 10.0**2.9, 1e300):
+            with pytest.raises(OverflowGuard):
+                from_rice(k_r)
 
-    def test_refuses_truncation_that_drops_mass(self):
-        # at 13 dB, 20 terms drop P(Poisson(K) >= 20) = 0.53 of the law,
-        # which normalization would hide (E[X^2] = 0.82 instead of 1)
-        with pytest.raises(DomainError, match=r"n_terms >= 32 keeps it below 0\.01"):
-            from_rice(10.0**1.3, 20)
-        with pytest.raises(DomainError, match=r"no n_terms <= 60"):
-            from_rice(10.0**1.7, 20)
-        # 60 terms hold up to 16.38 dB; at 16.4 dB they drop 0.0108
-        from_rice(10.0**1.638, 60)
-        with pytest.raises(DomainError, match=r"drops mixture weight 0\.0108"):
-            from_rice(10.0**1.64, 60)
-        # 10 dB drops 3.5e-3 with 20 terms; 40 terms at 13 dB drop 5e-5
-        assert envelope_moment(from_rice(10.0, 20), 2) == pytest.approx(1.0, abs=4e-3)
-        assert envelope_moment(from_rice(10.0**1.3, 40), 2) == pytest.approx(1.0, abs=1e-4)
+    @pytest.mark.parametrize("k_db,count", [(5.0, 32), (10.0, 52), (20.0, 207)])
+    def test_term_count_reaches_the_tail(self, k_db, count):
+        # the law keeps the fewest terms whose dropped Poisson tail is at
+        # most 1e-20; n_terms is a lower bound on that count
+        k_r = 10.0 ** (k_db / 10.0)
+        d = from_rice(k_r, 20)
+        assert len(d.terms) == count and d.label == f"rice(K={k_r:g}, terms={count})"
+        assert sc.gammainc(count, k_r) <= 1e-20 < sc.gammainc(count - 1, k_r)
+        assert len(from_rice(k_r, count + 10).terms) == count + 10
+        # normalization hides nothing: the 10 dB law had E[X^2] = 0.9966
+        # with 20 terms
+        assert envelope_moment(d, 2) == pytest.approx(1.0, rel=1e-15)
+
+    def test_huge_n_terms_keeps_only_representable_terms(self):
+        # terms past e^2 (1 + K) and 373 underflow to zero, so a huge
+        # n_terms costs no memory and changes no bit
+        assert from_rice(1.0, 10**12) == from_rice(1.0, 373)
+
+    @pytest.mark.parametrize("k_db", [-10.0, -3.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 28.0])
+    def test_moments_match_rice_closed_form(self, k_db):
+        # oracle: the exact Rice moments through 1F1, at 40 digits
+        k_r = 10.0 ** (k_db / 10.0)
+        orders = range(1, 13)
+        got = envelope_moment(from_rice(k_r), list(orders))
+        want = [float(mp_rice_moment(k_r, n)) for n in orders]
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 class TestEnvelopePdf:
@@ -256,8 +283,9 @@ class TestProductPdf:
         ids=["nakagami0.5-1e-6", "nakagami0.5-1e-8", "rice0dB-1e-6"],
     )
     def test_high_order_small_argument_against_mp_reference(self, d2, x):
-        # K_(b1-b2) at orders up to 59 overflows at small argument, while
-        # the term x^(b1+b2-1) K_(b1-b2) does not
+        # K_(b1-b2) at orders up to 111 (the 16 dB law keeps 112 terms)
+        # overflows at small argument, while the term x^(b1+b2-1) K_(b1-b2)
+        # does not
         d1 = from_rice(10.0**1.6, 60)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -300,12 +328,11 @@ class TestSampling:
             stderr = np.std(x**n) / math.sqrt(x.size)
             assert abs(np.mean(x**n) - target) <= 4.0 * stderr
 
-    def test_rice_k_set_only_where_mixture_is_rice(self):
-        # 20 terms drop 9.7e-10 of the Rice law at 5.4 dB, 1.4e-9 at 5.5 dB
-        assert from_rice(10.0**0.54, 20).rice_k == 10.0**0.54
-        assert from_rice(RICE_5DB, 20).rice_k == RICE_5DB
-        for d in (from_rice(10.0**0.55, 20), from_rice(10.0, 20), from_rice(0.0, 20),
-                  from_nakagami(1.0)):
+    def test_rice_k_set_on_every_rice_law(self):
+        # every from_rice law with K > 0 is the Rice law, so it draws Rice
+        for k_r in (1e-3, RICE_5DB, 10.0**0.55, 10.0, 10.0**2.8):
+            assert from_rice(k_r, 20).rice_k == k_r
+        for d in (from_rice(0.0, 20), from_nakagami(1.0)):
             assert d.rice_k is None
         # a law built by hand never draws Rice, and rice_k is not compared
         d = from_rice(RICE_5DB, 20)
@@ -322,8 +349,8 @@ class TestSampling:
         assert ks_2samp(x.ravel(), ref).pvalue > 1e-3
 
     def test_mixture_draw_moments(self):
-        # 7 dB at 20 terms drops 3.6e-7: the truncated mixture is drawn
-        d = from_rice(10.0**0.7, 20)
+        # a hand-built twin of the 7 dB law has no rice_k: the mixture is drawn
+        d = mixture_twin(from_rice(10.0**0.7, 20))
         assert d.rice_k is None
         x = sample_envelope(d, np.random.default_rng(4), size=1_000_000)
         for n in (1, 2, 4):
@@ -331,7 +358,7 @@ class TestSampling:
             stderr = np.std(x**n) / math.sqrt(x.size)
             assert abs(np.mean(x**n) - target) <= 4.0 * stderr
 
-    @pytest.mark.parametrize("d", [from_rice(RICE_5DB, 20), from_rice(10.0**0.7, 20),
+    @pytest.mark.parametrize("d", [from_rice(RICE_5DB, 20), mixture_twin(from_rice(10.0**0.7, 20)),
                                    from_nakagami(2.0)], ids=["rice", "mixture", "nakagami"])
     def test_scalar_draw_is_float(self, d):
         x = sample_envelope(d, np.random.default_rng(8))

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -155,6 +156,26 @@ class TestOpAsymptotic:
         p = kg_reference(4)
         sc = OutageScenario(kg=p, hw=HardwareProfile(0.3, 0.3), gamma=10.0, gamma_th=6.0)
         assert op_asymptotic(sc) == 1.0
+
+    @pytest.mark.parametrize(
+        "zeta,x",
+        [(0.004472, 0.668), (1e-3, 0.5), (0.01, 0.5), (0.03, 0.5), (0.1, 0.4), (0.3, 0.3)],
+    )
+    def test_small_zeta_against_mp_sum(self, zeta, x):
+        # T0 and the branches cancel at small zeta; the branch factor
+        # -zeta/(2s - zeta) keeps its digits where 1 - 2s/(2s - zeta) lost
+        # eps 2s/zeta of them (6e-11 at zeta = 0.004472)
+        k_a, m_a, b_o = 3.6817, 2.2773, 0.55
+        sc = OutageScenario(kg=make_kg(k_a, m_a), hw=HardwareProfile(), gamma=1.0 / x**2,
+                            gamma_th=1.0, mis=make_stats(b_o, zeta))
+        with mp.workdps(40):
+            k, m, z = mp.mpf(k_a), mp.mpf(m_a), mp.mpf(zeta)
+            xu = mp.sqrt(k * m) * mp.mpf(x) / mp.mpf(b_o)
+            norm = mp.gamma(k) * mp.gamma(m)
+            want = xu**z * mp.gamma(k - z / 2) * mp.gamma(m - z / 2) / norm
+            for s, o in ((m, k), (k, m)):
+                want -= mp.gamma(o - s) * xu ** (2 * s) / (s * norm) * z / (2 * s - z)
+        assert op_asymptotic(sc) == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
     def test_degenerate_raises(self):
         p = make_kg(3.0, 1.0)  # integer separation
