@@ -181,10 +181,27 @@ _GAMMA_TAIL_Q = 1e-18
 _LOG_TINY = math.log(np.finfo(float).tiny)
 
 
+# The per-law constants of the rules below are cached per KGParams, as the
+# Gauss-Legendre rules are per order: a sweep asks for them at every point.
+@functools.lru_cache(maxsize=256)
+def _gamma_quantiles(p: KGParams) -> tuple[float, float]:
+    """The _GAMMA_TAIL_Q upper quantiles (Q_k, Q_m) of Gamma(k_a) and Gamma(m_a)."""
+    q = _GAMMA_TAIL_Q
+    return float(sc.gammainccinv(p.k_a, q)), float(sc.gammainccinv(p.m_a, q))
+
+
 def _x_upper(p: KGParams) -> float:
     """x beyond which 1 - F_A(x) < 2 _GAMMA_TAIL_Q (union bound on the Gamma factors)."""
-    q = _GAMMA_TAIL_Q
-    return math.sqrt(sc.gammainccinv(p.k_a, q) * sc.gammainccinv(p.m_a, q)) / p.xi
+    q_k, q_m = _gamma_quantiles(p)
+    return math.sqrt(q_k * q_m) / p.xi
+
+
+@functools.lru_cache(maxsize=256)
+def _log_A_moments(p: KGParams) -> tuple[float, float]:
+    """Mean and standard deviation of log A = (log U + log V)/2 - log xi."""
+    mean = 0.5 * float(sc.digamma(p.k_a) + sc.digamma(p.m_a)) - math.log(p.xi)
+    std = 0.5 * math.sqrt(float(sc.polygamma(1, p.k_a) + sc.polygamma(1, p.m_a)))
+    return mean, std
 
 
 def _panels_per_log(p: KGParams, fine: bool) -> float:
@@ -207,9 +224,10 @@ def _cdf_A_quad_value(p: KGParams, x: float, per_log: float) -> float:
     P(k_a, s/v) of the nodes where s/v is that small.
     """
     k, m = p.k_a, p.m_a
+    q_k, q_m = _gamma_quantiles(p)
     log_s = 2.0 * (math.log(p.xi) + math.log(x))
-    log_eps = log_s - math.log(sc.gammainccinv(k, _GAMMA_TAIL_Q))
-    log_top = math.log(sc.gammainccinv(m, _GAMMA_TAIL_Q))
+    log_eps = log_s - math.log(q_k)
+    log_top = math.log(q_m)
     if k - m > 1e-3:  # the bound divides by k_a - m_a
         log_cut = log_s + (
             math.exp(log_s) / k - math.log(0.5 * _TAIL) + m * math.log(k) - math.log(m)
@@ -500,8 +518,7 @@ def _e2e_nodes(
     """(e^L nodes, weights); see the comment above _E2E_NODES."""
     zeta = s.zeta
     l_c = math.log(x / s.b_o)
-    mean = 0.5 * float(sc.digamma(p.k_a) + sc.digamma(p.m_a)) - math.log(p.xi)
-    std = 0.5 * math.sqrt(float(sc.polygamma(1, p.k_a) + sc.polygamma(1, p.m_a)))
+    mean, std = _log_A_moments(p)
     l_top = min(math.log(_x_upper(p)), max(l_c, mean) + _E2E_MARGIN / zeta)
     if zeta >= 4.0 * p.m_a:
         l_top = min(l_top, l_c + _E2E_MARGIN / (zeta - 2.0 * p.m_a))

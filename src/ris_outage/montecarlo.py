@@ -11,7 +11,9 @@ the inputs and the seed: worker count and scheduling never change the
 result.  The chunks are the only unit of parallelism: numpy's samplers
 release the interpreter lock, so worker threads overlap there.  Chunks
 hold _CHUNK_SIZE samples, so that even a 65536-sample curve keeps every
-worker busy.
+worker busy.  A chunk holds two (chunk, N) float arrays at its peak, the
+product of the hops so far and the next hop's draw: one 8192-sample
+chunk at N = 4096 peaks at 569 MB RSS per worker.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ __all__ = ["MCConfig", "MCEstimate", "simulate_op", "simulate_curve", "simulate_
 CurvePoint = tuple[MisalignmentStats | None, HardwareProfile, float, float]
 
 # samples per chunk.  A 65536-sample curve splits into 8 chunks that every
-# worker shares, and a chunk's (chunk, N) float arrays take 1 MB at
-# N = 16, where 65536 took 8 MB.  On one worker 8192 drew as fast per
-# sample as 65536 or faster; 1024 was over 30% slower, from per-chunk
+# worker shares, and a chunk's two (chunk, N) float arrays take 1 MB each
+# at N = 16 (256 MB each at N = 4096).  On one worker 8192 drew as fast
+# per sample as 65536 or faster; 1024 was over 30% slower, from per-chunk
 # overhead.  Each chunk has its own (seed, chunk) stream, so this size
 # fixes the samples drawn; the worker count never changes them.
 _CHUNK_SIZE = 1 << 13
@@ -119,6 +121,19 @@ def _chunk_counts(
         return sum(pool.map(run, tasks))
 
 
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """x.sum(axis=1) of a C-ordered (n, N) array, bit for bit.  Below 8
+    columns numpy adds them left to right, so this does too, one column
+    pass at a time, where numpy's reduction pays per row; from 8 up
+    numpy sums pairwise and is called as it is."""
+    if x.shape[1] >= 8:
+        return x.sum(axis=1)
+    out = x[:, 0].copy()
+    for j in range(1, x.shape[1]):
+        out += x[:, j]
+    return out
+
+
 def _estimate(hits: int, n: int) -> MCEstimate:
     p_hat = hits / n
     return MCEstimate(
@@ -163,19 +178,26 @@ def simulate_curve(
 
     def count(rng: np.random.Generator, n: int) -> np.ndarray:
         # cascade gains A = sum_i |h_i||g_i|, g multiplied into h in place:
-        # at 8192 x N a chunk's arrays dominate the memory
+        # at 8192 x N a chunk's two arrays dominate the memory
         hg = sample_envelope(d1, rng, (n, n_elements))
         hg *= sample_envelope(d2, rng, (n, n_elements))
-        a = hg.sum(axis=1)
+        a = _row_sums(hg)
         u = 1.0 - rng.random(size=n) if misaligned else None
         g2_of = {None: a * a}  # squared gain per distinct misalignment law
+        snr_key = gamma_u = None
         hits = np.empty(len(points), dtype=np.int64)
         for j, (mis, hw, gamma, gamma_th) in enumerate(points):
-            g2 = g2_of.get(mis)
-            if g2 is None:
-                gain = a * (mis.b_o * u ** (1.0 / mis.zeta))
-                g2 = g2_of[mis] = gain * gain
-            gamma_u = g2 / (hw.kappa_sq_sum * g2 + 1.0 / gamma)
+            k2 = hw.kappa_sq_sum
+            # a run of points that differ only in gamma_th (a gamma_th
+            # sweep) shares one SNR array; only the last one is kept
+            if (mis, k2, gamma) != snr_key:
+                g2 = g2_of.get(mis)
+                if g2 is None:
+                    gain = a * (mis.b_o * u ** (1.0 / mis.zeta))
+                    g2 = g2_of[mis] = gain * gain
+                # ideal hardware: 0 g2 + 1/gamma is 1/gamma for finite g2
+                denom = 1.0 / gamma if k2 == 0.0 else k2 * g2 + 1.0 / gamma
+                gamma_u, snr_key = g2 / denom, (mis, k2, gamma)
             hits[j] = np.count_nonzero(gamma_u <= gamma_th)
         return hits
 

@@ -21,7 +21,7 @@ from .errors import (
     FloorUndefined,
     RisOutageError,
 )
-from .geometry import misalignment_stats
+from .geometry import GeometryConfig, MisalignmentStats, misalignment_stats
 from .montecarlo import CurvePoint, simulate_curve
 from .outage import (
     HardwareProfile,
@@ -86,19 +86,28 @@ def _point_inputs(scn: ScenarioFile, value: float):
     return hw, geometry, gamma, gamma_th
 
 
+def _misalignment(geometry: GeometryConfig | None) -> tuple[MisalignmentStats | None, bool]:
+    """(mis, aligned): the geometry's misalignment law, or None with
+    aligned set where its jitter is degenerate."""
+    if geometry is None:
+        return None, False
+    try:
+        return misalignment_stats(geometry), False
+    except DegenerateJitter:
+        return None, True
+
+
 def _eval_point(
-    scn: ScenarioFile, kg: KGParams, value: float
+    scn: ScenarioFile, kg: KGParams, value: float, mis_of: dict
 ) -> tuple[SweepRow, CurvePoint]:
     """Closed-form row of one sweep point, and the point's Monte Carlo
-    inputs."""
-    flags: list[str] = []
+    inputs.  mis_of caches _misalignment per geometry across the points
+    of a curve: a sweep that leaves the geometry alone takes it once."""
     hw, geometry, gamma, gamma_th = _point_inputs(scn, value)
-    mis = None
-    if geometry is not None:
-        try:
-            mis = misalignment_stats(geometry)
-        except DegenerateJitter:
-            flags.append("aligned")
+    if geometry not in mis_of:
+        mis_of[geometry] = _misalignment(geometry)
+    mis, aligned = mis_of[geometry]
+    flags = ["aligned"] if aligned else []
     scenario = OutageScenario(kg=kg, hw=hw, gamma=gamma, gamma_th=gamma_th, mis=mis)
     exact = op_exact(scenario)
     asym = None
@@ -131,9 +140,10 @@ def evaluate_sweep(scn: ScenarioFile, with_mc: bool = False) -> list[SweepRow]:
     kg = moment_match(scn.hop1, scn.hop2, scn.n_elements)
     rows: list[SweepRow] = []
     points: list[CurvePoint] = []
+    mis_of: dict = {}
     for value in scn.sweep.values():
         try:
-            row, point = _eval_point(scn, kg, value)
+            row, point = _eval_point(scn, kg, value, mis_of)
         except RisOutageError as exc:
             exc.args += (f"(at sweep point {scn.sweep.variable} = {value:g})",)
             raise

@@ -237,6 +237,27 @@ def sample_rice_exact(k_r: float, rng: np.random.Generator, size) -> np.ndarray:
     return np.hypot(re, im)
 
 
+def sample_envelope_one_block(d, rng: np.random.Generator, size=None):
+    """sample_envelope's draw as first built, for a Rice or single-term
+    law: a Rice law squares one standard_normal((2, *size)) block and adds
+    its halves; a single-term law divides its Gamma draw out of place.
+    sample_envelope must give these bits and leave the generator here."""
+    if d.rice_k is not None:
+        dims = () if size is None else tuple(np.atleast_1d(size))
+        z = rng.standard_normal((2, *dims))
+        z[0] += math.sqrt(2.0 * d.rice_k)
+        z *= z
+        sq = z[0]
+        sq += z[1]
+        sq /= 2.0 * d.rate
+    else:
+        assert len(d.terms) == 1
+        b = d.terms[0][1]
+        g = rng.standard_exponential(size) if b == 1.0 else rng.standard_gamma(b, size)
+        sq = g / d.rate
+    return np.sqrt(sq) if np.ndim(sq) else float(np.sqrt(sq))
+
+
 # --- misc helpers -------------------------------------------------------------
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import ks_2samp, kstest
 
-from conftest import sample_rice_exact
+from conftest import sample_envelope_one_block, sample_rice_exact
 from ris_outage import (
     DomainError,
     MGDistribution,
@@ -379,6 +379,23 @@ class TestSampling:
             assert type(x) is type(y) and np.array_equal(x, y)
             assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
             assert np.array_equal(rng.random(4), ref.random(4))
+
+    @pytest.mark.parametrize("d", [from_rice(10.0**0.05), from_rice(RICE_5DB), from_rice(100.0),
+                                   from_nakagami(1.0), from_nakagami(2.5)],
+                             ids=["rice-0.5dB", "rice-5dB", "rice-20dB", "nakagami-1",
+                                  "nakagami-2.5"])
+    @pytest.mark.parametrize("size", [(8192, 16), (3392, 4), (0, 4), (5000, 17), None])
+    def test_draw_is_the_one_block_draw(self, d, size):
+        # the Rice draw squares Z1 in place and adds Z2 in slices; the
+        # Gamma draw scales in place: same bits, same generator state
+        for seed in range(3):
+            rng, ref = (np.random.Generator(np.random.Philox(seed)) for _ in range(2))
+            x = sample_envelope(d, rng, size)
+            y = sample_envelope_one_block(d, ref, size)
+            assert type(x) is type(y)
+            assert np.array_equal(np.asarray(x).view(np.uint64), np.asarray(y).view(np.uint64))
+            assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+            assert np.array_equal(rng.standard_normal(4), ref.standard_normal(4))
 
     def test_deterministic_under_seed(self):
         d = from_rice(1.0, 20)

@@ -1,11 +1,12 @@
 import math
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import MIXED_SIGMA_P_SWEEP, make_stats
+from conftest import MIXED_SIGMA_P_SWEEP, make_stats, sample_envelope_one_block
 from ris_outage import (
     ConfigError,
     HardwareProfile,
@@ -248,6 +249,73 @@ class TestSimulateCurve:
         assert montecarlo._CHUNK_SIZE == 8192
         assert results[1] == results[2] == results[8]
         assert all(0.0 < op < 1.0 for op, _, _ in results[1])
+
+    def test_impaired_threshold_sweep_equals_simulate_op(self):
+        # points with the same (mis, kappa^2, gamma) share one SNR array:
+        # (0.1, 0.2) and (0.2, 0.1) have the same kappa^2
+        d1, d2 = from_nakagami(1.0), from_rice(RICE_5DB)
+        s = make_stats(0.55, 3.5)
+        points = [(mis, hw, 1.0, th)
+                  for mis in (None, s)
+                  for hw in (HardwareProfile(0.1, 0.2), HardwareProfile(0.2, 0.1),
+                             HardwareProfile())
+                  for th in (0.5, 1.0, 2.0)]
+        cfg = MCConfig(samples=20_000, seed=12, workers=2)
+        curve = simulate_curve(d1, d2, 4, points, cfg)
+        for point, est in zip(points, curve):
+            assert est == simulate_op(d1, d2, 4, *point, cfg)
+        assert all(0.0 < est.op_hat < 1.0 for est in curve)
+
+    @pytest.mark.parametrize("n_elements", [3, 9])
+    def test_counts_equal_the_one_block_construction(self, n_elements):
+        # every chunk drawn as first built: one normal block per Rice hop,
+        # numpy's row sums and the full SNR form at every point
+        d1, d2 = from_nakagami(1.0), from_rice(RICE_5DB)
+        s = make_stats(0.55, 3.5)
+        points = [(mis, hw, gamma, 1.0) for mis in (None, s)
+                  for hw in (HardwareProfile(), HardwareProfile(0.1, 0.2))
+                  for gamma in (3.0, 30.0)]
+        cfg = MCConfig(samples=8192 + 500, seed=4, workers=1)
+        hits = np.zeros(len(points), dtype=np.int64)
+        for index, n in enumerate(montecarlo._chunk_sizes(cfg.samples)):
+            rng = montecarlo._chunk_rng(cfg.seed, index)
+            hg = (sample_envelope_one_block(d1, rng, (n, n_elements))
+                  * sample_envelope_one_block(d2, rng, (n, n_elements)))
+            a = hg.sum(axis=1)
+            u = 1.0 - rng.random(size=n)
+            for j, (mis, hw, gamma, gamma_th) in enumerate(points):
+                gain = a if mis is None else a * (mis.b_o * u ** (1.0 / mis.zeta))
+                g2 = gain * gain
+                gamma_u = g2 / (hw.kappa_sq_sum * g2 + 1.0 / gamma)
+                hits[j] += np.count_nonzero(gamma_u <= gamma_th)
+        curve = simulate_curve(d1, d2, n_elements, points, cfg)
+        assert [e.op_hat for e in curve] == [h / cfg.samples for h in hits.tolist()]
+
+    @pytest.mark.parametrize("n_cols", range(1, 10))
+    def test_row_sums_are_numpy_sums(self, n_cols):
+        rng = np.random.default_rng(n_cols)
+        x = rng.random((1000, n_cols)) * 10.0 ** rng.integers(-3, 6, size=(1000, n_cols))
+        out = montecarlo._row_sums(x)
+        assert np.array_equal(out.view(np.uint64), x.sum(axis=1).view(np.uint64))
+
+    @pytest.mark.parametrize("hops", ["nakagami-rice", "rice-nakagami"])
+    def test_chunk_holds_two_arrays(self, hops):
+        # one 8192-sample chunk at N = 512 holds the product array and one
+        # hop's draw, each 8192 x 512 floats (32 MB), and little besides
+        d1, d2 = from_nakagami(1.0), from_rice(RICE_5DB)
+        if hops == "rice-nakagami":
+            d1, d2 = d2, d1
+        points = [(None, HardwareProfile(), 10.0, 1.0)]
+        cfg = MCConfig(samples=8192, seed=1, workers=1)
+        array_bytes = 8192 * 512 * 8
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            simulate_curve(d1, d2, 512, points, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * array_bytes
 
     def test_empty_points(self):
         d = from_nakagami(1.0)
