@@ -14,12 +14,10 @@ from .geometry import *
 from .montecarlo import *
 from .outage import *
 from .scenario import *
-from .special import *
 from .sweep import *
 
 __version__ = "0.1.0"
 
 # each module's __all__ is its public API, and the package's is their union
 __all__ = (cascade.__all__ + errors.__all__ + fading.__all__ + geometry.__all__
-           + montecarlo.__all__ + outage.__all__ + scenario.__all__ + special.__all__
-           + sweep.__all__)
+           + montecarlo.__all__ + outage.__all__ + scenario.__all__ + sweep.__all__)

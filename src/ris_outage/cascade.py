@@ -9,8 +9,10 @@ hypergeometric series expansion and direct quadrature.  The series are
 fast and precise in the deep lower tail; the quadrature is a fixed
 Gauss-Legendre rule, cancellation-free everywhere, that checks itself
 against a coarser copy and raises NoConvergence when the two disagree.
-Both routes must agree wherever both apply, and the test suite enforces
-that against each other and against extended-precision references.
+One router, _cdf, picks the route of each point and returns the value
+that route priced, its log and the route.  Both routes must agree
+wherever both apply, and the test suite enforces that against each
+other and against extended-precision references.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.special as sc
@@ -350,7 +353,7 @@ def _log_series(
     Every 1F2 partial sum starts at 1, so a value F <= 1 has cond at least
     the largest of |T0| and |C_s u^(2s)|.  Where w > 0 and that bound
     reaches _COND_LIMIT, the 1F2 are not summed and the zero-sum result
-    (0.0, -inf, inf) is returned: _series_log would reject the sum anyway.
+    (0.0, -inf, inf) is returned: _cdf would reject the sum anyway.
     Raises DegenerateParameters where _series_defined says the expansion
     does not exist.
     """
@@ -408,45 +411,50 @@ def _series_defined(p: KGParams, zeta: float | None = None) -> bool:
     return True
 
 
-def _series_log(p: KGParams, mis: MisalignmentStats | None, x: float) -> float | None:
-    """log F(x), x > 0, by the series where the router keeps it: the
-    expansion is defined, sums without NoConvergence, and is a
-    probability with cond below _COND_LIMIT.  None otherwise.  This is
-    the one accept test of the series route."""
-    try:
-        sign, logmag, cond = _log_series(p, mis, x)
-    except (DegenerateParameters, NoConvergence):
-        return None
-    return logmag if sign > 0.0 and logmag <= 0.0 and cond < _COND_LIMIT else None
+class _Cdf(NamedTuple):
+    """What _cdf priced: the value F(x), its log, and whether the series
+    gave it (False: the quadrature twin or a range bound did)."""
+
+    value: float
+    log: float
+    series: bool
 
 
-def _log_cdf(p: KGParams, mis: MisalignmentStats | None, x: float) -> float:
-    """log F(x) of A (mis None) or of A_e2e = h_g A: the one routing
-    decision between the series and the quadrature route.  The series
-    gives the value where _series_log keeps it; otherwise the quadrature
-    twin does.
+def _cdf(p: KGParams, mis: MisalignmentStats | None, x: float) -> _Cdf:
+    """F(x) of A (mis None) or of A_e2e = h_g A: the one routing decision
+    between the series and the quadrature twin.
+
+    x = 0 and x at or past B_o _x_upper are priced by their bounds, 0 and
+    1.  Elsewhere the series gives the value where it is defined, sums
+    without NoConvergence, and is a probability with cond below
+    _COND_LIMIT; its value is exp(log).  Otherwise the twin gives the
+    value, as it returned it, and the log is taken of that.  DomainError
+    unless x >= 0 (NaN included), so the series sums a finite argument.
     """
-    if x <= 0.0:
-        return -math.inf
-    b_o = 1.0 if mis is None else mis.b_o
-    if x >= b_o * _x_upper(p):
-        return 0.0
-    log_f = _series_log(p, mis, x)
-    if log_f is not None:
-        return log_f
+    if not x >= 0.0:
+        raise DomainError(f"{'cdf_A' if mis is None else 'cdf_Ae2e'} requires x >= 0, got {x}")
+    if x == 0.0:
+        return _Cdf(0.0, -math.inf, False)
+    if x >= (1.0 if mis is None else mis.b_o) * _x_upper(p):
+        return _Cdf(1.0, 0.0, False)
+    try:
+        sign, log_f, cond = _log_series(p, mis, x)
+    except (DegenerateParameters, NoConvergence):
+        pass
+    else:
+        if sign > 0.0 and log_f <= 0.0 and cond < _COND_LIMIT:
+            return _Cdf(math.exp(log_f), log_f, True)
     val = _cdf_A_quadrature(p, x) if mis is None else cdf_Ae2e_quadrature(p, mis, x)
-    return math.log(val) if val > 0.0 else -math.inf
+    return _Cdf(val, math.log(val) if val > 0.0 else -math.inf, False)
 
 
 def cdf_A(p: KGParams, x: float) -> float:
     """CDF of the cascade sum surrogate.
 
     Series route when k_a - m_a is safely non-integer and the expansion is
-    well conditioned; quadrature otherwise.
+    well conditioned; quadrature otherwise (the routing of _cdf).
     """
-    if x < 0:
-        raise DomainError(f"cdf_A requires x >= 0, got {x}")
-    return math.exp(_log_cdf(p, None, x))
+    return _cdf(p, None, x).value
 
 
 def pdf_A(p: KGParams, x) -> np.ndarray | float:
@@ -481,11 +489,9 @@ def cdf_Ae2e(p: KGParams, s: MisalignmentStats, x: float) -> float:
     Series route when k_a - m_a is safely non-integer and zeta/2 stays
     clear of the pole lattice anchored at k_a and m_a; quadrature of the
     defining integral otherwise (and whenever the series is ill
-    conditioned).
+    conditioned): the routing of _cdf.
     """
-    if x < 0:
-        raise DomainError(f"cdf_Ae2e requires x >= 0, got {x}")
-    return math.exp(_log_cdf(p, s, x))
+    return _cdf(p, s, x).value
 
 
 # The end-to-end density integrates over L = log of the inner argument x/y.

@@ -51,8 +51,8 @@ def _selftest(out=None) -> int:
     at the call when None); 0 iff everything agrees."""
     out = sys.stdout if out is None else out
     from .cascade import (
+        _cdf,
         _cdf_A_quadrature,
-        _series_log,
         cdf_Ae2e_quadrature,
         moment_match,
         pdf_Ae2e,
@@ -90,10 +90,10 @@ def _selftest(out=None) -> int:
             worst, engaged = 0.0, 0
             for frac in (0.05, 0.2, 0.5, 1.0):
                 x = frac * math.sqrt(kg.omega_a)
-                log_f = _series_log(kg, mis, x)
-                if log_f is not None:
+                f = _cdf(kg, mis, x)
+                if f.series:
                     engaged += 1
-                    worst = max(worst, abs(math.exp(log_f) - quad(x)))
+                    worst = max(worst, abs(f.value - quad(x)))
             check(
                 f"dual-path {name} (N={n})",
                 engaged > 0 and worst < 1e-6,

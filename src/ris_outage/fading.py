@@ -236,10 +236,11 @@ def sample_envelope(
     shape 1 as standard_exponential (the draws and generator state of
     standard_gamma(1.0), for less), and scales it in place.  Any other
     law, built by hand as an MGDistribution, picks a component by weight,
-    draws the squared envelope from Gamma(b_m, rate) and takes its square
-    root.  Monte Carlo draws (chunk, N) envelopes per hop at a time, so a
-    chunk holds two such arrays: 569 MB RSS at 8192 x 4096 (see
-    montecarlo._CHUNK_SIZE).
+    looks up its shape b_m, draws standard_gamma(b_m) and scales it in
+    place by 1/rate: the bits and generator state of gamma(b_m, 1/rate),
+    with at most two size-shaped arrays held at once.  Monte Carlo draws
+    (chunk, N) envelopes per hop at a time, so a chunk holds two such
+    arrays: 569 MB RSS at 8192 x 4096 (see montecarlo._CHUNK_SIZE).
     """
     if d.rice_k is not None:
         sq = rng.standard_normal(() if size is None else size)  # Z1
@@ -256,8 +257,10 @@ def sample_envelope(
         sq = rng.standard_exponential(size) if b == 1.0 else rng.standard_gamma(b, size)
         sq /= d.rate  # in place for an array
     else:
-        idx = rng.choice(len(d.weights), size=size, p=d.weights)
-        sq = rng.gamma(shape=d.shapes[idx], scale=1.0 / d.rate)
+        shape = d.shapes[rng.choice(len(d.weights), size=size, p=d.weights)]
+        sq = rng.standard_gamma(shape)
+        del shape  # the draw alone is held from here
+        sq *= 1.0 / d.rate
     if np.ndim(sq):
         return np.sqrt(sq, out=sq)  # sq is this call's own array
     return float(np.sqrt(sq))

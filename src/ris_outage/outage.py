@@ -16,8 +16,8 @@ import numpy as np
 
 from .cascade import (
     KGParams,
+    _cdf,
     _expansion_terms,
-    _log_cdf,
     _log_series,
     cdf_A,
     cdf_Ae2e,
@@ -185,6 +185,6 @@ def diversity_order(p: KGParams, empirical: bool = False) -> DiversityReport:
     logs = []
     for r_db in ratios_db:
         x = math.sqrt(10.0 ** (-r_db / 10.0))
-        logs.append(_log_cdf(p, None, x) / math.log(10.0))
+        logs.append(_cdf(p, None, x).log / math.log(10.0))
     slope = -np.polyfit(ratios_db / 10.0, logs, 1)[0]
     return DiversityReport(closed_form=closed, empirical_slope=float(slope))

@@ -1,11 +1,12 @@
 """Special functions of the closed-form channel statistics.
 
-``hyp1f2`` is implemented directly as a compensated power series because
+``_hyp1f2_diag`` sums 1F2 directly as a compensated power series because
 scipy has no 1F2; its truncation policy is the fixed pair _REL_TOL and
-_MAX_TERMS.  ``_log_gen_k`` is the one kernel of the generalized-K
-densities, of A (cascade.pdf_A) and of one envelope product
-(fading.product_pdf).  The other special functions come from
-scipy.special at their call sites.
+_MAX_TERMS, and its one caller is cascade._log_series.  ``_log_gen_k``
+is the one kernel of the generalized-K densities, of A (cascade.pdf_A)
+and of one envelope product (fading.product_pdf).  The other special
+functions come from scipy.special at their call sites.  The module has
+no public names.
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ import math
 import numpy as np
 import scipy.special as sc
 
-from .errors import DomainError, NoConvergence
-
-__all__ = ["hyp1f2"]
+from .errors import NoConvergence
 
 # a term below this fraction of the partial sum counts as converged
 _REL_TOL = 1e-12
@@ -25,36 +24,21 @@ _REL_TOL = 1e-12
 _MAX_TERMS = 10_000
 
 
-def _is_nonpositive_integer(x: float, tol: float = 1e-9) -> bool:
-    return x <= tol and abs(x - round(x)) < tol
-
-
-def hyp1f2(a: float, b1: float, b2: float, z: float) -> float:
-    """Generalized hypergeometric 1F2(a; b1, b2; z) by direct summation.
+def _hyp1f2_diag(a: float, b1: float, b2: float, z: float) -> tuple[float, float]:
+    """Generalized hypergeometric 1F2(a; b1, b2; z) by direct summation,
+    plus a cancellation diagnostic.
 
     Terms follow the ratio recurrence t_{n+1} = t_n (a+n) z /
     ((b1+n)(b2+n)(n+1)) under compensated (Kahan) summation; the series
     stops once three consecutive terms fall below _REL_TOL times the
     partial sum.  NoConvergence is raised at the first term or partial
-    sum that overflows, or after _MAX_TERMS terms.
+    sum that overflows, or after _MAX_TERMS terms.  Returns (value,
+    peak), peak the largest intermediate magnitude seen (max of |term|
+    and |partial sum|): peak/|value| estimates how many digits the
+    alternating series destroyed.  The caller keeps b1 and b2 off the
+    non-positive integers and z finite (cascade._series_defined and the
+    range bounds of cascade._cdf).
     """
-    value, _ = _hyp1f2_diag(a, b1, b2, z)
-    return value
-
-
-def _hyp1f2_diag(a: float, b1: float, b2: float, z: float) -> tuple[float, float]:
-    """hyp1f2 plus a cancellation diagnostic.
-
-    Returns (value, peak) where peak is the largest intermediate magnitude
-    seen (max of |term| and |partial sum|).  peak/|value| estimates how
-    many digits the alternating series destroyed; callers that need
-    guaranteed accuracy check it before trusting the result.
-    """
-    for b in (b1, b2):
-        if _is_nonpositive_integer(b):
-            raise DomainError(f"hyp1f2 parameter b = {b} is a non-positive integer")
-    if not math.isfinite(z):
-        raise DomainError(f"hyp1f2 requires finite z, got {z}")
     if z == 0.0:
         return 1.0, 1.0
 

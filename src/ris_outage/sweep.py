@@ -176,30 +176,15 @@ def derived_report(scn: ScenarioFile) -> dict:
         "omega_a": kg.omega_a,
         "gamma_th_max": max_threshold(scn.hardware),
     }
-    if scn.geometry is not None:
+    mis, aligned = _misalignment(scn.geometry)
+    if aligned:
+        out["misalignment"] = "degenerate jitter (aligned path)"
+    elif mis is not None:
+        out.update(w_l2=mis.w_l2, rho_l2=mis.rho_l2, b_o=mis.b_o, zeta=mis.zeta, k_m=mis.k_m)
+        scenario = OutageScenario(kg=kg, hw=scn.hardware, gamma=1.0, gamma_th=scn.gamma_th,
+                                  mis=mis)
         try:
-            mis = misalignment_stats(scn.geometry)
-        except DegenerateJitter:
-            out["misalignment"] = "degenerate jitter (aligned path)"
-        else:
-            out.update(
-                {
-                    "w_l2": mis.w_l2,
-                    "rho_l2": mis.rho_l2,
-                    "b_o": mis.b_o,
-                    "zeta": mis.zeta,
-                    "k_m": mis.k_m,
-                }
-            )
-            scenario = OutageScenario(
-                kg=kg,
-                hw=scn.hardware,
-                gamma=1.0,
-                gamma_th=scn.gamma_th,
-                mis=mis,
-            )
-            try:
-                out["floor"] = op_floor(scenario)
-            except FloorUndefined as exc:
-                out["floor"] = f"UNDEFINED ({exc.args[0]})"
+            out["floor"] = op_floor(scenario)
+        except FloorUndefined as exc:
+            out["floor"] = f"UNDEFINED ({exc.args[0]})"
     return out

@@ -238,9 +238,10 @@ def sample_rice_exact(k_r: float, rng: np.random.Generator, size) -> np.ndarray:
 
 
 def sample_envelope_one_block(d, rng: np.random.Generator, size=None):
-    """sample_envelope's draw as first built, for a Rice or single-term
-    law: a Rice law squares one standard_normal((2, *size)) block and adds
-    its halves; a single-term law divides its Gamma draw out of place.
+    """sample_envelope's draw as first built: a Rice law squares one
+    standard_normal((2, *size)) block and adds its halves; a single-term
+    law divides its Gamma draw out of place; a law built by hand picks
+    component indices and draws gamma(shapes[index], 1/rate).
     sample_envelope must give these bits and leave the generator here."""
     if d.rice_k is not None:
         dims = () if size is None else tuple(np.atleast_1d(size))
@@ -250,11 +251,13 @@ def sample_envelope_one_block(d, rng: np.random.Generator, size=None):
         sq = z[0]
         sq += z[1]
         sq /= 2.0 * d.rate
-    else:
-        assert len(d.terms) == 1
+    elif len(d.terms) == 1:
         b = d.terms[0][1]
         g = rng.standard_exponential(size) if b == 1.0 else rng.standard_gamma(b, size)
         sq = g / d.rate
+    else:
+        idx = rng.choice(len(d.weights), size=size, p=d.weights)
+        sq = rng.gamma(shape=d.shapes[idx], scale=1.0 / d.rate)
     return np.sqrt(sq) if np.ndim(sq) else float(np.sqrt(sq))
 
 

@@ -518,7 +518,39 @@ class TestRouterBoundaries:
         b_o = 1.0 if s is None else s.b_o
         for z in (401.0, 417.0, 1000.0):
             x = math.sqrt(z) * b_o / p.xi
-            assert cascade._series_log(p, s, x) is not None, z
+            assert cascade._cdf(p, s, x).series, z
+
+    def test_twin_route_returns_the_twins_float(self):
+        # k_a = m_a has no series, so the twin prices these deep-tail
+        # points, and cdf_A / cdf_Ae2e hand back its float bit for bit
+        p, s = make_kg(1.0, 1.0), make_stats(0.6, 2.3)
+        f = cascade._cdf(p, None, 1e-140)
+        assert not f.series and f.value == _cdf_A_quadrature(p, 1e-140)
+        assert cdf_A(p, 1e-140) == _cdf_A_quadrature(p, 1e-140)
+        f = cascade._cdf(p, s, 1e-60)
+        assert not f.series and f.value == cdf_Ae2e_quadrature(p, s, 1e-60)
+        assert cdf_Ae2e(p, s, 1e-60) == cdf_Ae2e_quadrature(p, s, 1e-60)
+
+    @pytest.mark.parametrize("k_a,m_a", [(5.67, 2.3), (2.3 + 3.0 + 5e-4, 2.3), (228.3, 64.1)])
+    @pytest.mark.parametrize("zeta", [None, 3.1])
+    def test_record_invariants(self, k_a, m_a, zeta):
+        # the series arm prices exp(log), the twin arm log(value); both
+        # routes and both range bounds appear over the grid
+        p = make_kg(k_a, m_a)
+        s = None if zeta is None else make_stats(0.6, zeta)
+        b_o = 1.0 if s is None else s.b_o
+        assert cascade._cdf(p, s, 0.0) == (0.0, -math.inf, False)
+        assert cascade._cdf(p, s, b_o * cascade._x_upper(p)) == (1.0, 0.0, False)
+        for z in (1e-6, 0.5, 12.0, 50.0, 1000.0):
+            f = cascade._cdf(p, s, math.sqrt(z) * b_o / p.xi)
+            if f.series:
+                assert f.value == math.exp(f.log), z
+            else:
+                assert f.log == math.log(f.value), z
+        with pytest.raises(DomainError):
+            cascade._cdf(p, s, -1.0)
+        with pytest.raises(DomainError):
+            cascade._cdf(p, s, math.nan)
 
     @pytest.mark.parametrize("zeta", [None, 0.5, 3.1, 7.3])
     def test_skipped_sums_are_ones_the_router_rejects(self, monkeypatch, zeta):
@@ -629,12 +661,12 @@ class TestFixedRules:
         checked = 0
         for level in FIXED_RULE_LEVELS[:-1]:
             x = _x_at(p, s, level)
-            logmag = cascade._series_log(p, s, x)
-            if logmag is None:
+            f = cascade._cdf(p, s, x)
+            if not f.series:
                 continue  # the router would not keep the series here
             checked += 1
             assert cdf_Ae2e_quadrature(p, s, x) == pytest.approx(
-                math.exp(logmag), rel=1e-8, abs=0.0
+                f.value, rel=1e-8, abs=0.0
             ), level
         assert checked >= 2
 

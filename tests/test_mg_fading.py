@@ -381,13 +381,16 @@ class TestSampling:
             assert np.array_equal(rng.random(4), ref.random(4))
 
     @pytest.mark.parametrize("d", [from_rice(10.0**0.05), from_rice(RICE_5DB), from_rice(100.0),
-                                   from_nakagami(1.0), from_nakagami(2.5)],
+                                   from_nakagami(1.0), from_nakagami(2.5),
+                                   mixture_twin(from_rice(RICE_5DB)),
+                                   MGDistribution(terms=((0.3 / math.gamma(0.6), 0.6),
+                                                         (0.7 / math.gamma(2.5), 2.5)), rate=1.0)],
                              ids=["rice-0.5dB", "rice-5dB", "rice-20dB", "nakagami-1",
-                                  "nakagami-2.5"])
+                                  "nakagami-2.5", "hand-built-rice-5dB", "hand-built-2-terms"])
     @pytest.mark.parametrize("size", [(8192, 16), (3392, 4), (0, 4), (5000, 17), None])
     def test_draw_is_the_one_block_draw(self, d, size):
         # the Rice draw squares Z1 in place and adds Z2 in slices; the
-        # Gamma draw scales in place: same bits, same generator state
+        # Gamma draws scale in place: same bits, same generator state
         for seed in range(3):
             rng, ref = (np.random.Generator(np.random.Philox(seed)) for _ in range(2))
             x = sample_envelope(d, rng, size)
