@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -87,8 +88,8 @@ def _sum_cumulants(
 ) -> list[float]:
     """kappa_0..kappa_max_order of A (kappa_0 = 0): N times the cumulants
     c_j of one product, from its moments normalized by their mass mu_0."""
-    if n_elements < 1:
-        raise DomainError(f"n_elements must be >= 1, got {n_elements}")
+    if not (isinstance(n_elements, numbers.Integral) and n_elements >= 1):
+        raise DomainError(f"n_elements must be an integer >= 1, got {n_elements!r}")
     mu = product_moment(d1, d2, np.arange(max_order + 1))
     m = (mu / mu[0]).tolist()
     c = [0.0]
@@ -103,8 +104,8 @@ def sum_moments(
     """Raw moment E[A^order] of the sum of n_elements i.i.d. envelope
     products, from its cumulants kappa_j by the moment-cumulant recursion
     mu_o = sum_j C(o-1, j-1) kappa_j mu_(o-j), with mu_0 = 1."""
-    if order < 0:
-        raise DomainError(f"order must be >= 0, got {order}")
+    if not (isinstance(order, numbers.Integral) and order >= 0):
+        raise DomainError(f"order must be an integer >= 0, got {order!r}")
     kappa = _sum_cumulants(d1, d2, n_elements, order)
     mu = [1.0]
     for o in range(1, order + 1):
@@ -273,7 +274,9 @@ def _cdf_A_quadrature(p: KGParams, x: float) -> float:
     """Quadrature route for F_A, accurate in relative terms deep into both
     tails: the V-integral of _cdf_A_quad_value, fine rule checked against
     the coarse one within max(1e-13, 5e-11 F)."""
-    if x <= 0.0:
+    if not x >= 0.0:
+        raise DomainError(f"_cdf_A_quadrature requires x >= 0, got {x}")
+    if x == 0.0:
         return 0.0
     if x >= _x_upper(p):
         return 1.0
@@ -465,8 +468,8 @@ def pdf_A(p: KGParams, x) -> np.ndarray | float:
     kernel it shares with fading.product_pdf.
     """
     x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr <= 0):
-        raise DomainError("pdf_A requires x > 0")
+    if not np.all((x_arr > 0.0) & (x_arr < math.inf)):
+        raise DomainError("pdf_A requires finite x > 0")
     log_norm = (
         math.log(4.0)
         + (p.k_a + p.m_a) * math.log(p.xi)
@@ -564,7 +567,7 @@ def cdf_Ae2e_quadrature(p: KGParams, s: MisalignmentStats, x: float) -> float:
     gives the value once its coarse and fine rules agree within
     max(1e-13, 1e-9 F); otherwise it raises NoConvergence.
     """
-    if x < 0:
+    if not x >= 0.0:
         raise DomainError(f"cdf_Ae2e_quadrature requires x >= 0, got {x}")
     if x == 0.0:
         return 0.0
@@ -587,7 +590,7 @@ def pdf_Ae2e(p: KGParams, s: MisalignmentStats, x: float) -> float:
     zeta the loss concentrates at B_o and the rule's range narrows onto
     x/B_o (the zeta >= 4 m_a cut of _e2e_nodes).
     """
-    if x <= 0:
+    if not x > 0.0:
         raise DomainError(f"pdf_Ae2e requires x > 0, got {x}")
     if x >= s.b_o * _x_upper(p):
         return 0.0

@@ -25,7 +25,7 @@ from dataclasses import replace as dc_replace
 from .errors import ConfigError, RisOutageError
 from .scenario import load_scenario
 from .svgplot import render_log_plot
-from .sweep import COLUMNS, CSV_HEADER, derived_report, evaluate_sweep
+from .sweep import CSV_HEADER, LEGENDS, derived_report, evaluate_sweep
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -150,8 +150,6 @@ def _cmd_run(args) -> int:
         if scn.sweep.variable == "gamma_th":
             raise ConfigError("--rate-threshold is not used: the gamma_th sweep sets gamma_th")
         scn = dc_replace(scn, gamma_th=args.gamma_th)
-    if args.mc and scn.mc is None:
-        raise ConfigError("--mc needs an mc block in the scenario")
     rows = evaluate_sweep(scn, with_mc=args.mc)
 
     os.makedirs(args.output, exist_ok=True)
@@ -161,9 +159,9 @@ def _cmd_run(args) -> int:
     print(csv_path)
     if args.svg:
         series = []
-        for name, legend in COLUMNS:
+        for name, legend in LEGENDS.items():
             values = [getattr(r, name) for r in rows]
-            if legend is not None and any(v is not None for v in values):
+            if any(v is not None for v in values):
                 series.append((legend, values))
         svg = render_log_plot(
             [r.sweep_value for r in rows], series, x_label=scn.sweep.variable

@@ -155,8 +155,8 @@ def envelope_pdf(d: MGDistribution, x) -> np.ndarray | float:
     formed from its log, so a large coefficient times x^(2b-1) cannot
     overflow before exp(-c x^2) brings it back into range."""
     x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0):
-        raise DomainError("envelope_pdf requires x >= 0")
+    if not np.all((x_arr >= 0.0) & (x_arr < math.inf)):
+        raise DomainError("envelope_pdf requires finite x >= 0")
     a, b = d.coeffs, d.shapes
     xx = x_arr[..., None]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -173,8 +173,8 @@ def envelope_moment(d: MGDistribution, n) -> np.ndarray | float:
     """E[X^n] = sum_m a_m Gamma(b_m + n/2) rate^-(b_m + n/2), for every
     order in n at once (vectorized); OverflowGuard past float range."""
     n_arr = np.asarray(n, dtype=float)
-    if np.any(n_arr < 0):
-        raise DomainError(f"moment order must be >= 0, got {n}")
+    if not np.all((n_arr >= 0.0) & (n_arr < math.inf)):
+        raise DomainError(f"moment order must be finite and >= 0, got {n}")
     b = d.shapes + n_arr[..., None] / 2.0
     log_terms = np.log(d.coeffs) + sc.gammaln(b) - b * math.log(d.rate)
     # written out: on a 7x20 array sc.logsumexp takes 0.10 ms, these three
@@ -204,8 +204,8 @@ def product_pdf(d1: MGDistribution, d2: MGDistribution, x) -> np.ndarray | float
     4 a1 a2 (c1/c2)^(-(b1-b2)/2) x^(b1+b2-1) K_(b1-b2)(2 sqrt(c1 c2) x),
     each formed from its log by special._log_gen_k, the kernel of pdf_A."""
     x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr <= 0):
-        raise DomainError("product_pdf requires x > 0")
+    if not np.all((x_arr > 0.0) & (x_arr < math.inf)):
+        raise DomainError("product_pdf requires finite x > 0")
     b1, b2 = d1.shapes[:, None], d2.shapes[None, :]
     log_c = (
         math.log(4.0)

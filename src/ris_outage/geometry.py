@@ -136,25 +136,19 @@ class LinkBudget:
 
 def coherence_length(g: GeometryConfig) -> float:
     """Turbulence coherence length rho(L2) = (0.55 Cn2 k^2 L2)^(-3/5)
-    with wave number k = 2 pi f / c."""
+    with wave number k = 2 pi f / c; inf at cn2 = 0, the no-turbulence
+    limit."""
     if g.cn2 == 0.0:
-        raise DomainError("cn2 = 0 means infinite coherence; no-turbulence limit")
+        return math.inf
     k = 2.0 * math.pi * g.f / SPEED_OF_LIGHT
     return (0.55 * g.cn2 * k * k * g.l2) ** (-3.0 / 5.0)
 
 
 def beamwidth(g: GeometryConfig) -> float:
     """Beamwidth at the receiver plane,
-    w(L2) = w_o sqrt(1 + (1 + 2 w_o^2/rho(L2)^2) (c L2 / (pi f w_o^2))^2).
-
-    cn2 = 0 is treated as the no-turbulence limit (the 2 w_o^2/rho^2 term
-    vanishes).
-    """
+    w(L2) = w_o sqrt(1 + (1 + 2 w_o^2/rho(L2)^2) (c L2 / (pi f w_o^2))^2)."""
     spread = SPEED_OF_LIGHT * g.l2 / (math.pi * g.f * g.w_o**2)
-    if g.cn2 == 0.0:
-        turb = 0.0
-    else:
-        turb = 2.0 * g.w_o**2 / coherence_length(g) ** 2
+    turb = 2.0 * g.w_o**2 / coherence_length(g) ** 2
     return g.w_o * math.sqrt(1.0 + (1.0 + turb) * spread**2)
 
 
@@ -175,7 +169,7 @@ def misalignment_stats(g: GeometryConfig) -> MisalignmentStats:
     zeta is undefined there and the aligned analysis path applies.
     """
     w = beamwidth(g)
-    rho_l2 = coherence_length(g) if g.cn2 > 0 else math.inf
+    rho_l2 = coherence_length(g)
     theta, phi = g.theta, g.phi
     rho_y = math.cos(phi) ** 2 + math.sin(phi) ** 2 * math.cos(theta) ** 2
     rho_z = math.sin(phi) ** 2
@@ -234,6 +228,8 @@ def hg_pdf(s: MisalignmentStats, x) -> np.ndarray | float:
     For zeta < 1 the density diverges (integrably) at x = 0.
     """
     x_arr = np.asarray(x, dtype=float)
+    if np.isnan(x_arr).any():
+        raise DomainError("hg_pdf is undefined at x = NaN")
     inside = (x_arr >= 0.0) & (x_arr <= s.b_o)
     safe = np.where(inside, x_arr, s.b_o)  # keep the power on its domain
     with np.errstate(divide="ignore"):

@@ -107,18 +107,15 @@ def _chunk_counts(
 ) -> np.ndarray:
     """Sum over the chunks of cfg of count(rng, n), an integer array, with
     each chunk on its own stream.  Integer sums do not depend on the order
-    in which the workers finish."""
-    tasks = list(enumerate(_chunk_sizes(cfg.samples)))
-    workers = min(cfg.resolved_workers(), len(tasks))
+    in which the workers finish.  The pool starts at most one thread per
+    chunk, so a one-chunk curve runs on one thread."""
 
     def run(task) -> np.ndarray:
         index, n = task
         return count(_chunk_rng(cfg.seed, index), n)
 
-    if workers == 1:
-        return sum(map(run, tasks))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(run, tasks))
+    with ThreadPoolExecutor(max_workers=cfg.resolved_workers()) as pool:
+        return sum(pool.map(run, enumerate(_chunk_sizes(cfg.samples))))
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:

@@ -59,8 +59,6 @@ class ScenarioParseError(ConfigError):
             loc.append(f"field '{field_name}'")
         suffix = f" ({', '.join(loc)})" if loc else ""
         super().__init__(message + suffix)
-        self.line = line
-        self.field_name = field_name
 
 
 @dataclass(frozen=True)

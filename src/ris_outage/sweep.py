@@ -11,11 +11,12 @@ fast it runs, never the numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass, fields, replace as dc_replace
 
 from .cascade import KGParams, moment_match
 from .errors import (
     AsymptoteOutOfRegime,
+    ConfigError,
     DegenerateJitter,
     DegenerateParameters,
     FloorUndefined,
@@ -35,18 +36,9 @@ from .scenario import ScenarioFile, _from_db
 
 __all__ = ["SweepRow", "evaluate_sweep", "derived_report"]
 
-# the curve's columns in CSV order: each a SweepRow field, and the legend
-# of its --svg series (None: not plotted)
-COLUMNS = (
-    ("sweep_value", None),
-    ("op_exact", "exact"),
-    ("op_asymptotic", "asymptotic"),
-    ("op_floor", "floor"),
-    ("op_mc", "monte carlo"),
-    ("mc_stderr", None),
-    ("flags", None),
-)
-CSV_HEADER = ",".join(name for name, _ in COLUMNS)
+# the legend of each column that --svg plots, in column order
+LEGENDS = {"op_exact": "exact", "op_asymptotic": "asymptotic", "op_floor": "floor",
+           "op_mc": "monte carlo"}
 
 
 @dataclass(frozen=True)
@@ -65,7 +57,12 @@ class SweepRow:
                 return ""
             return ";".join(v) if isinstance(v, tuple) else f"{v:.12g}"
 
-        return ",".join(cell(getattr(self, name)) for name, _ in COLUMNS)
+        return ",".join(cell(getattr(self, name)) for name in COLUMNS)
+
+
+# the curve's CSV columns, in order
+COLUMNS = tuple(f.name for f in fields(SweepRow))
+CSV_HEADER = ",".join(COLUMNS)
 
 
 def _point_inputs(scn: ScenarioFile, value: float):
@@ -136,7 +133,10 @@ def _eval_point(
 def evaluate_sweep(scn: ScenarioFile, with_mc: bool = False) -> list[SweepRow]:
     """Evaluate every sweep point.  A numeric failure at a point raises
     the original RisOutageError with the offending sweep value appended
-    to its arguments (and so to its message)."""
+    to its arguments (and so to its message).  ConfigError where with_mc
+    is set and the scenario has no mc block."""
+    if with_mc and scn.mc is None:
+        raise ConfigError("--mc needs an mc block in the scenario")
     kg = moment_match(scn.hop1, scn.hop2, scn.n_elements)
     rows: list[SweepRow] = []
     points: list[CurvePoint] = []
@@ -149,7 +149,7 @@ def evaluate_sweep(scn: ScenarioFile, with_mc: bool = False) -> list[SweepRow]:
             raise
         rows.append(row)
         points.append(point)
-    if not with_mc or scn.mc is None:
+    if not with_mc:
         return rows
     estimates = simulate_curve(scn.hop1, scn.hop2, scn.n_elements, points, scn.mc)
     return [

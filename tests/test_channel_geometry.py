@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.constants import c as SPEED_OF_LIGHT
 from scipy.integrate import quad
 
 from conftest import make_stats, mp_geometry_chain
@@ -72,9 +73,14 @@ class TestCoherenceLength:
         assert coherence_length(cfg(f=REF["f"] * 2)) < base
         assert coherence_length(cfg(l2=REF["l2"] * 2)) < base
 
-    def test_no_turbulence_raises(self):
-        with pytest.raises(DomainError):
-            coherence_length(cfg(cn2=0.0))
+    def test_no_turbulence_is_infinite(self):
+        # cn2 = 0 is the no-turbulence limit: the coherence length is
+        # infinite and the beam spreads by diffraction alone, bit for bit
+        g = cfg(cn2=0.0)
+        assert coherence_length(g) == math.inf
+        assert misalignment_stats(g).rho_l2 == math.inf
+        spread = SPEED_OF_LIGHT * g.l2 / (math.pi * g.f * g.w_o**2)
+        assert beamwidth(g) == g.w_o * math.sqrt(1.0 + spread**2)
 
 
 class TestMisalignmentStats:

@@ -10,7 +10,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from conftest import MIXED_SIGMA_P_SWEEP, mp_cdf_A
-from ris_outage import RisOutageError, moment_match
+from ris_outage import ConfigError, RisOutageError, moment_match
 from ris_outage.cli import main
 from ris_outage.scenario import ScenarioParseError, parse_scenario
 from ris_outage.sweep import CSV_HEADER, evaluate_sweep
@@ -135,6 +135,12 @@ class TestSweepEngine:
         assert CSV_HEADER.count(",") == rows[0].csv_line().count(",")
         # aligned scenario: no floor column values
         assert all(r.op_floor is None for r in rows)
+
+    def test_mc_without_block_is_refused(self):
+        # the library refuses, as the CLI does, rather than return rows
+        # whose Monte Carlo cells are empty with no flag saying why
+        with pytest.raises(ConfigError, match="^--mc needs an mc block in the scenario$"):
+            evaluate_sweep(parse_scenario(MINIMAL), with_mc=True)
 
     def test_kappa_sweep_hits_numeric_guard(self):
         text = MINIMAL.replace(

@@ -13,16 +13,25 @@ import pytest
 
 from conftest import make_stats
 from ris_outage import (
+    DomainError,
     cdf_Ae2e,
     cdf_Ae2e_quadrature,
+    envelope_moment,
+    envelope_pdf,
     from_nakagami,
     from_rice,
+    hg_pdf,
     moment_match,
+    pdf_A,
     pdf_Ae2e,
     parse_scenario,
+    product_moment,
+    product_pdf,
+    sum_moments,
 )
 import ris_outage
 from ris_outage import errors
+from ris_outage.cascade import _cdf_A_quadrature
 from ris_outage.special import _hyp1f2_diag
 from ris_outage.svgplot import render_log_plot
 from ris_outage.sweep import evaluate_sweep
@@ -188,6 +197,55 @@ class TestSvgEmitter:
         assert hashlib.sha256(svg.encode()).hexdigest() == (
             "50847c72d52ab3498ab52ea1ce6edc41e09d40d79b6b228725cea46b285f12dc"
         )
+
+
+NAKA, RICE = from_nakagami(1.5), from_rice(RICE_5DB)
+KG = moment_match(NAKA, RICE, 4)
+STATS = make_stats(0.55, 3.5)
+
+
+class TestArgumentContract:
+    # every public density, CDF and moment gives a valid number or raises
+    # DomainError: NaN, an infinite density argument and a non-integer
+    # order or element count are refused, never priced as 0, nan or a
+    # convergence failure
+    @pytest.mark.parametrize(
+        "call,arg",
+        [
+            (lambda x: envelope_pdf(NAKA, x), math.nan),
+            (lambda x: envelope_pdf(RICE, x), [0.5, math.nan]),
+            (lambda x: envelope_pdf(NAKA, x), math.inf),
+            (lambda x: hg_pdf(STATS, x), math.nan),
+            (lambda x: hg_pdf(STATS, x), [0.1, math.nan]),
+            (lambda x: pdf_A(KG, x), math.nan),
+            (lambda x: pdf_A(KG, x), math.inf),
+            (lambda x: product_pdf(NAKA, RICE, x), math.nan),
+            (lambda x: product_pdf(NAKA, RICE, x), [1.0, math.inf]),
+            (lambda x: _cdf_A_quadrature(KG, x), math.nan),
+            (lambda x: cdf_Ae2e_quadrature(KG, STATS, x), math.nan),
+            (lambda x: pdf_Ae2e(KG, STATS, x), math.nan),
+            (lambda n: envelope_moment(RICE, n), math.nan),
+            (lambda n: envelope_moment(RICE, n), math.inf),
+            (lambda n: product_moment(NAKA, RICE, n), [2.0, math.nan]),
+            (lambda n: sum_moments(NAKA, RICE, 4, n), 2.5),
+            (lambda n: sum_moments(NAKA, RICE, 4, n), math.inf),
+            (lambda n: sum_moments(NAKA, RICE, n, 2), 2.5),
+            (lambda n: moment_match(NAKA, RICE, n), 2.5),
+            (lambda n: moment_match(NAKA, RICE, n), math.nan),
+        ],
+        ids=[
+            "envelope_pdf-nan", "envelope_pdf-nan-in-array", "envelope_pdf-inf",
+            "hg_pdf-nan", "hg_pdf-nan-in-array", "pdf_A-nan", "pdf_A-inf",
+            "product_pdf-nan", "product_pdf-inf-in-array", "cdf_A_quadrature-nan",
+            "cdf_Ae2e_quadrature-nan", "pdf_Ae2e-nan", "envelope_moment-nan",
+            "envelope_moment-inf", "product_moment-nan-in-array", "sum_moments-order-2.5",
+            "sum_moments-order-inf", "sum_moments-elements-2.5", "moment_match-elements-2.5",
+            "moment_match-elements-nan",
+        ],
+    )
+    def test_bad_argument_raises_domain_error(self, call, arg):
+        with np.errstate(all="raise"), pytest.raises(DomainError):
+            call(arg)
 
 
 class TestErrorTaxonomy:
