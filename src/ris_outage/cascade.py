@@ -125,10 +125,12 @@ def moment_match(
     Var Y and kappa_3(Y) are polynomials in kappa_1..kappa_6 with no
     cancellation that grows with N.  MomentMatchFailure where no
     generalized-K law has these moments: a negative discriminant
-    p^2 - 4q or a non-positive root.  A discriminant within 1e-12 p^2
-    below zero is rounding around a double root (identical Nakagami hops
-    at N = 1, where k_a = m_a = m is exact) and is taken as zero; at
-    N >= 2 such hops have no match.  DomainError above _MAX_ELEMENTS.
+    p^2 - 4q or a non-positive root.  A discriminant within 1e-9 p^2
+    below zero is rounding around a double root and is taken as zero:
+    identical Nakagami(m) hops at N = 1, where k_a = m_a = m is exact,
+    round to -2.4e-12 p^2 at m = 8 and +-2.4e-11 p^2 by m = 40.  At
+    N >= 2 such hops have no match, with disc below -2.9e-5 p^2 for
+    m <= 40.  DomainError above _MAX_ELEMENTS.
     """
     if n_elements > _MAX_ELEMENTS:
         raise DomainError(f"n_elements = {n_elements} exceeds {_MAX_ELEMENTS}, past which "
@@ -145,7 +147,7 @@ def moment_match(
     q = (k3_y / mu2**3 - 2.0 * d4 * d4) / (2.0 * (1.0 + d4))
     p = d4 - q
     disc = p * p - 4.0 * q
-    if 0.0 > disc >= -1e-12 * p * p:
+    if 0.0 > disc >= -1e-9 * p * p:
         disc = 0.0
     if not disc >= 0.0:
         raise MomentMatchFailure(f"negative discriminant {disc!r}")

@@ -36,7 +36,8 @@ _LOG_MAX = math.log(np.finfo(float).max)
 # normals per slice of a Rice draw's second Gaussian: 64 KB stays under
 # glibc malloc's 128 KB mmap threshold and in L2, so each slice reuses heap
 # memory.  512 KB slices, mapped and faulted in afresh each time, made an
-# 8192 x 4 chunk about 15% slower (2-CPU x86-64 host, glibc malloc).
+# 8192 x 4 chunk about 15% slower (2-CPU x86-64 host, glibc malloc).  A
+# slice is a quarter of a Monte Carlo chunk's 2^15-pair array.
 _NORMAL_SLICE = 1 << 13
 
 
@@ -240,7 +241,8 @@ def sample_envelope(
     place by 1/rate: the bits and generator state of gamma(b_m, 1/rate),
     with at most two size-shaped arrays held at once.  Monte Carlo draws
     (chunk, N) envelopes per hop at a time, so a chunk holds two such
-    arrays: 569 MB RSS at 8192 x 4096 (see montecarlo._CHUNK_SIZE).
+    arrays, each of at most 2^15 pairs (256 KB) up to N = 32768 (see
+    montecarlo._CHUNK_PAIRS).
     """
     if d.rice_k is not None:
         sq = rng.standard_normal(() if size is None else size)  # Z1
@@ -251,6 +253,7 @@ def sample_envelope(
             z2 = rng.standard_normal(min(_NORMAL_SLICE, flat.size - start))
             z2 *= z2
             flat[start:start + z2.size] += z2
+            del z2  # so the next slice is drawn with none other held
         sq /= 2.0 * d.rate
     elif len(d.terms) == 1:
         b = d.terms[0][1]

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.special as sc
-from scipy.constants import c as SPEED_OF_LIGHT
 
 from .errors import DegenerateJitter, DomainError
 
@@ -27,6 +26,8 @@ __all__ = [
     "sample_hg",
     "average_snr",
 ]
+
+SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact in the SI
 
 
 @dataclass(frozen=True)

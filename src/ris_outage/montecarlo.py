@@ -5,22 +5,25 @@ every snapshot and counts the threshold crossings of every point.
 simulate_op is simulate_curve on a one-point curve, and simulate_cdf is
 simulate_curve on the points (mis, ideal hardware, gamma = 1, x^2), where
 the instantaneous SNR is the squared gain.  Samples are generated in
-fixed-size chunks, each chunk owning an independent random stream
+chunks of a size fixed by N, each chunk owning an independent random stream
 derived from (seed, chunk_index), so estimates are a pure function of
 the inputs and the seed: worker count and scheduling never change the
 result.  The chunks are the only unit of parallelism: numpy's samplers
-release the interpreter lock, so worker threads overlap there.  Chunks
-hold _CHUNK_SIZE samples, so that even a 65536-sample curve keeps every
-worker busy.  A chunk holds two (chunk, N) float arrays at its peak, the
-product of the hops so far and the next hop's draw: one 8192-sample
-chunk at N = 4096 peaks at 569 MB RSS per worker.
+release the interpreter lock, so worker threads overlap there.  A chunk
+holds two (chunk, N) float arrays at its peak, the product of the hops
+so far and the next hop's draw, so its size is set in envelope pairs:
+_CHUNK_PAIRS // N snapshots, at most _CHUNK_SIZE and at least one.  Each
+array then stays at or under 256 KB up to N = 32768, and the pool keeps
+at most two chunks per worker in flight, so a curve's memory grows
+neither with its sample count nor, up to that N, with N.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections.abc import Callable, Sequence
+from collections import deque
+from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -36,13 +39,17 @@ __all__ = ["MCConfig", "MCEstimate", "simulate_op", "simulate_curve", "simulate_
 # one point of an outage curve: (mis, hw, gamma, gamma_th)
 CurvePoint = tuple[MisalignmentStats | None, HardwareProfile, float, float]
 
-# samples per chunk.  A 65536-sample curve splits into 8 chunks that every
-# worker shares, and a chunk's two (chunk, N) float arrays take 1 MB each
-# at N = 16 (256 MB each at N = 4096).  On one worker 8192 drew as fast
-# per sample as 65536 or faster; 1024 was over 30% slower, from per-chunk
-# overhead.  Each chunk has its own (seed, chunk) stream, so this size
-# fixes the samples drawn; the worker count never changes them.
+# a chunk holds at most _CHUNK_SIZE snapshots and _CHUNK_PAIRS envelope
+# pairs (snapshots x N): the pair bound takes over past N = 4.  A
+# 65536-sample curve splits into 8 or more chunks that every worker
+# shares.  On one worker 8192 x 4 drew as fast per sample as 65536 x 4 or
+# faster; 1024 x 4 was over 30% slower, from per-chunk overhead.  Fixed
+# 8192-snapshot chunks peaked at 569 MB RSS per worker at N = 4096; 2^15
+# pairs keep each of a chunk's two arrays at 256 KB.  Each chunk has its
+# own (seed, chunk) stream, so these sizes fix the samples drawn; the
+# worker count never changes them.
 _CHUNK_SIZE = 1 << 13
+_CHUNK_PAIRS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -97,25 +104,33 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     )
 
 
-def _chunk_sizes(total: int) -> list[int]:
-    full, rem = divmod(total, _CHUNK_SIZE)
-    return [_CHUNK_SIZE] * full + ([rem] if rem else [])
+def _chunk_sizes(total: int, n_elements: int) -> Iterator[int]:
+    size = max(1, min(_CHUNK_SIZE, _CHUNK_PAIRS // n_elements))
+    for start in range(0, total, size):
+        yield min(size, total - start)
 
 
 def _chunk_counts(
-    cfg: MCConfig, count: Callable[[np.random.Generator, int], np.ndarray]
+    cfg: MCConfig, n_elements: int, count: Callable[[np.random.Generator, int], np.ndarray]
 ) -> np.ndarray:
-    """Sum over the chunks of cfg of count(rng, n), an integer array, with
-    each chunk on its own stream.  Integer sums do not depend on the order
-    in which the workers finish.  The pool starts at most one thread per
-    chunk, so a one-chunk curve runs on one thread."""
-
-    def run(task) -> np.ndarray:
-        index, n = task
-        return count(_chunk_rng(cfg.seed, index), n)
-
-    with ThreadPoolExecutor(max_workers=cfg.resolved_workers()) as pool:
-        return sum(pool.map(run, enumerate(_chunk_sizes(cfg.samples))))
+    """Sum over the chunks of cfg at n_elements of count(rng, n), an
+    integer array, with each chunk on its own stream.  Integer sums do not
+    depend on the order in which the workers finish.  The pool starts at
+    most one thread per chunk, so a one-chunk curve runs on one thread.
+    At most two chunks per worker wait or run at once: each pending chunk
+    costs ~1.9 KB of pool bookkeeping (its future, work item and generator),
+    so submitting all of them would grow a curve's memory with its sample
+    count, by ~235 MB for 10^6 samples at N = 4096 (125000 chunks)."""
+    workers = cfg.resolved_workers()
+    total, pending = 0, deque()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for index, n in enumerate(_chunk_sizes(cfg.samples, n_elements)):
+            pending.append(pool.submit(count, _chunk_rng(cfg.seed, index), n))
+            if len(pending) > 2 * workers:
+                total = total + pending.popleft().result()
+        while pending:
+            total = total + pending.popleft().result()
+    return total
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
@@ -175,7 +190,7 @@ def simulate_curve(
 
     def count(rng: np.random.Generator, n: int) -> np.ndarray:
         # cascade gains A = sum_i |h_i||g_i|, g multiplied into h in place:
-        # at 8192 x N a chunk's two arrays dominate the memory
+        # a chunk's two (n, N) arrays dominate its memory
         hg = sample_envelope(d1, rng, (n, n_elements))
         hg *= sample_envelope(d2, rng, (n, n_elements))
         a = _row_sums(hg)
@@ -198,7 +213,7 @@ def simulate_curve(
             hits[j] = np.count_nonzero(gamma_u <= gamma_th)
         return hits
 
-    hits = _chunk_counts(cfg, count)
+    hits = _chunk_counts(cfg, n_elements, count)
     return [_estimate(int(h), cfg.samples) for h in hits]
 
 

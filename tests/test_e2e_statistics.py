@@ -147,6 +147,21 @@ class TestMomentMatch:
             assert 0.0 < p_hat < 1.0
             assert abs(cdf_A(p, x) - p_hat) <= 4.0 * stderr
 
+    @pytest.mark.parametrize("m", [8.0, 12.0, 20.0, 40.0])
+    def test_identical_nakagami_single_element_large_m(self, m):
+        # the double root's rounding grows with m, to disc = +-2.4e-11 p^2
+        # at m = 40, inside the 1e-9 p^2 band; a root moves by sqrt(disc)/p
+        d = from_nakagami(m)
+        p = moment_match(d, d, 1)
+        assert p.k_a == pytest.approx(m, rel=1e-4) and p.m_a == pytest.approx(m, rel=1e-4)
+
+    @pytest.mark.parametrize("m", [0.5, 1.0, 8.0, 40.0])
+    def test_identical_nakagami_two_elements_refused(self, m):
+        # at N = 2 the discriminant is a true negative, at most -2.9e-5 p^2
+        d = from_nakagami(m)
+        with pytest.raises(MomentMatchFailure, match="negative discriminant"):
+            moment_match(d, d, 2)
+
     def test_params_validation(self):
         with pytest.raises(Exception):
             KGParams(k_a=2.0, m_a=1.0, xi=5.0, omega_a=1.0,
@@ -461,7 +476,7 @@ class TestCdfAe2e:
     @pytest.mark.parametrize("n,samples", [(1024, 16384), (4096, 4000)])
     def test_large_array_against_mc(self, n, samples):
         # one shared sample set prices F_A about the mean and F_A_e2e over
-        # its body; a chunk holds samples x n x 3 doubles (0.4 GB at 4096)
+        # its body, in chunks of 32 and 8 snapshots
         d1, d2 = MATCH_PAIRS["nakagami1-rice5db"]
         p = moment_match(d1, d2, n)
         s = make_stats(0.55, 3.43)

@@ -45,6 +45,23 @@ def calibrate_gamma(p, target, mis=None, hw=HardwareProfile(), gamma_th=1.0):
     return math.sqrt(lo * hi)
 
 
+def _chunk_array_bytes(n_elements):
+    return next(montecarlo._chunk_sizes(8192, n_elements)) * n_elements * 8
+
+
+def _curve_peak(d1, d2, n_elements, samples):
+    """tracemalloc's peak over one aligned one-point curve on one worker."""
+    points = [(None, HardwareProfile(), 10.0, 1.0)]
+    cfg = MCConfig(samples=samples, seed=1, workers=1)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        simulate_curve(d1, d2, n_elements, points, cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestDeterminism:
     def test_same_seed_same_result(self):
         d1, d2 = from_nakagami(1.0), from_rice(1.0, 20)
@@ -236,20 +253,32 @@ class TestSimulateCurve:
         assert ops[0] > 0.0
         assert all(b <= a for a, b in zip(ops, ops[1:]))
 
-    def test_worker_invariance_at_default_chunk_size(self):
-        # 65536 + 123 samples are 9 chunks of the default 8192: workers
-        # 1, 2 and 8 split them differently and must count the same
+    @pytest.mark.parametrize("n_elements,samples", [
+        (4, 65536 + 123), (16, 20 * 2048 + 123), (4096, 100 * 8 + 3)])
+    def test_worker_invariance_across_chunk_sizes(self, n_elements, samples):
+        # 9, 21 and 101 chunks of 8192, 2048 and 8 snapshots: workers 1, 2
+        # and 8 split them differently and must count the same; gamma
+        # scales as 1/N^2 with E[A]^2, so every point counts some outages
         d1, d2 = from_nakagami(1.0), from_rice(RICE_5DB, 20)
         s = make_stats(0.55, 3.5)
-        points = [(s, HardwareProfile(), gamma, 1.0) for gamma in (3.0, 10.0, 30.0)]
+        points = [(s, HardwareProfile(), g * (4.0 / n_elements) ** 2, 1.0)
+                  for g in (0.3, 1.0, 3.0)]
         results = {
             w: [(e.op_hat, e.stderr, e.n) for e in simulate_curve(
-                d1, d2, 4, points, MCConfig(samples=65536 + 123, seed=3, workers=w))]
+                d1, d2, n_elements, points, MCConfig(samples=samples, seed=3, workers=w))]
             for w in (1, 2, 8)
         }
-        assert montecarlo._CHUNK_SIZE == 8192
+        assert len(list(montecarlo._chunk_sizes(samples, n_elements))) > 8
         assert results[1] == results[2] == results[8]
         assert all(0.0 < op < 1.0 for op, _, _ in results[1])
+
+    @pytest.mark.parametrize("n_elements,rows", [
+        (1, 8192), (4, 8192), (5, 6553), (16, 2048), (4096, 8), (40000, 1)])
+    def test_chunk_rows(self, n_elements, rows):
+        # a chunk holds at most 8192 snapshots and 2^15 envelope pairs,
+        # and at least one snapshot; the last chunk takes the remainder
+        assert list(montecarlo._chunk_sizes(3 * rows + 1, n_elements)) == [rows] * 3 + [1]
+        assert list(montecarlo._chunk_sizes(rows, n_elements)) == [rows]
 
     def test_impaired_threshold_sweep_equals_simulate_op(self):
         # points with the same (mis, kappa^2, gamma) share one SNR array:
@@ -278,7 +307,7 @@ class TestSimulateCurve:
                   for gamma in (3.0, 30.0)]
         cfg = MCConfig(samples=8192 + 500, seed=4, workers=1)
         hits = np.zeros(len(points), dtype=np.int64)
-        for index, n in enumerate(montecarlo._chunk_sizes(cfg.samples)):
+        for index, n in enumerate(montecarlo._chunk_sizes(cfg.samples, n_elements)):
             rng = montecarlo._chunk_rng(cfg.seed, index)
             hg = (sample_envelope_one_block(d1, rng, (n, n_elements))
                   * sample_envelope_one_block(d2, rng, (n, n_elements)))
@@ -300,32 +329,31 @@ class TestSimulateCurve:
         assert np.array_equal(out.view(np.uint64), x.sum(axis=1).view(np.uint64))
 
     @pytest.mark.parametrize("hops,bound", [
-        pytest.param("nakagami-rice", 2.25, id="nakagami-rice"),
-        pytest.param("rice-nakagami", 2.25, id="rice-nakagami"),
-        pytest.param("hand-built-nakagami", 2.25, id="hand-built-nakagami"),
+        pytest.param("nakagami-rice", 2.5, id="nakagami-rice"),
+        pytest.param("rice-nakagami", 2.5, id="rice-nakagami"),
+        pytest.param("hand-built-nakagami", 2.5, id="hand-built-nakagami"),
         pytest.param("nakagami-hand-built", 3.25, id="nakagami-hand-built"),
     ])
     def test_chunk_holds_two_arrays(self, hops, bound):
-        # one 8192-sample chunk at N = 512 holds the product array and one
-        # hop's draw, each 8192 x 512 floats (32 MB), and little besides;
-        # a hand-built mixture hop adds its shape array while it draws,
-        # which shows only when the first hop's draw is held beside it
+        # a chunk at N = 512 (64 snapshots) holds the product array and one
+        # hop's draw, each 2^15 floats (256 KB), and little besides: a Rice
+        # draw adds one 64 KB normal slice, a quarter array; a hand-built
+        # mixture hop adds its shape array while it draws, which shows only
+        # when the first hop's draw is held beside it
         rice = from_rice(RICE_5DB)
         other = MGDistribution(terms=rice.terms, rate=rice.rate) if "hand" in hops else rice
         d1, d2 = from_nakagami(1.0), other
         if not hops.startswith("nakagami"):
             d1, d2 = d2, d1
-        points = [(None, HardwareProfile(), 10.0, 1.0)]
-        cfg = MCConfig(samples=8192, seed=1, workers=1)
-        array_bytes = 8192 * 512 * 8
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            simulate_curve(d1, d2, 512, points, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < bound * array_bytes
+        assert _curve_peak(d1, d2, 512, 8192) < bound * _chunk_array_bytes(512)
+
+    @pytest.mark.parametrize("samples", [8, 256 * 8 + 3])
+    def test_chunk_memory_flat_in_samples(self, samples):
+        # at N = 4096 a chunk is 8 snapshots, so one chunk and 257 peak
+        # alike: two 2^15-float arrays and the Rice draw's normal slice
+        d1, d2 = from_nakagami(1.0), from_rice(RICE_5DB)
+        peak = _curve_peak(d1, d2, 4096, samples)
+        assert 2.0 * _chunk_array_bytes(4096) < peak < 2.5 * _chunk_array_bytes(4096)
 
     def test_empty_points(self):
         d = from_nakagami(1.0)
