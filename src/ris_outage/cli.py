@@ -23,7 +23,7 @@ import tempfile
 from dataclasses import replace as dc_replace
 
 from .errors import ConfigError, RisOutageError
-from .scenario import load_scenario
+from .scenario import SWEPT_INPUT, load_scenario
 from .svgplot import render_log_plot
 from .sweep import CSV_HEADER, LEGENDS, derived_report, evaluate_sweep
 
@@ -64,9 +64,9 @@ def _selftest(out=None) -> int:
 
     failures = 0
 
-    def check(name: str, ok: bool, detail: str = "") -> None:
+    def check(name: str, ok: bool, detail: str) -> None:
         nonlocal failures
-        print(f"  [{'ok' if ok else 'FAIL'}] {name}" + (f"  {detail}" if detail else ""), file=out)
+        print(f"  [{'ok' if ok else 'FAIL'}] {name}  {detail}", file=out)
         if not ok:
             failures += 1
 
@@ -147,8 +147,8 @@ def _cmd_run(args) -> int:
         raise ConfigError("a scenario file is required unless --selftest")
     scn = load_scenario(args.scenario)
     if args.gamma_th is not None:
-        if scn.sweep.variable == "gamma_th":
-            raise ConfigError("--rate-threshold is not used: the gamma_th sweep sets gamma_th")
+        if SWEPT_INPUT[scn.sweep.variable] == "gamma_th":
+            raise ConfigError(scn.sweep.unused("--rate-threshold"))
         scn = dc_replace(scn, gamma_th=args.gamma_th)
     rows = evaluate_sweep(scn, with_mc=args.mc)
 

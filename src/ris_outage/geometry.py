@@ -43,7 +43,7 @@ class GeometryConfig:
     sigma_p and d_x*sigma_o enter the shape exponent in the same units as
     the beamwidth; values are consumed exactly as given.  DomainError
     where the coherence length, beamwidth or jitter variance they give
-    leaves float range.
+    leaves float range, or where theta and phi leave the footprint unbounded.
     """
 
     l2: float
@@ -83,6 +83,7 @@ class GeometryConfig:
             raise DomainError(
                 "coherence length, beamwidth or jitter variance leaves float range"
             )
+        _footprint(self)
 
 
 @dataclass(frozen=True)
@@ -158,6 +159,21 @@ def _jitter(g: GeometryConfig) -> float:
     return 4.0 * g.sigma_p**2 + 4.0 * g.d_x**2 * g.sigma_o**2
 
 
+def _footprint(g: GeometryConfig) -> tuple[float, float]:
+    """(rho_min, rho_max) of the beam footprint at (theta, phi); DomainError
+    where sin(phi) cos(theta) = 0 (edge-on), which leaves rho_max unbounded."""
+    theta, phi = g.theta, g.phi
+    rho_y = math.cos(phi) ** 2 + math.sin(phi) ** 2 * math.cos(theta) ** 2
+    rho_z = math.sin(phi) ** 2
+    rho_yz = -math.cos(phi) * math.sin(phi) * math.sin(theta)
+    disc = math.sqrt((rho_y - rho_z) ** 2 + 4.0 * rho_yz**2)
+    denom_max = rho_y + rho_z - disc
+    if denom_max <= 0.0:
+        raise DomainError("degenerate footprint orientation: rho_max is unbounded "
+                          f"(theta={theta}, phi={phi})")
+    return 2.0 / (rho_y + rho_z + disc), 2.0 / denom_max
+
+
 # largest v = (alpha / w) sqrt(pi / (2 rho)) for which exp(-v^2) is a
 # normal float
 _V_LIMIT = math.sqrt(709.0)
@@ -171,19 +187,7 @@ def misalignment_stats(g: GeometryConfig) -> MisalignmentStats:
     """
     w = beamwidth(g)
     rho_l2 = coherence_length(g)
-    theta, phi = g.theta, g.phi
-    rho_y = math.cos(phi) ** 2 + math.sin(phi) ** 2 * math.cos(theta) ** 2
-    rho_z = math.sin(phi) ** 2
-    rho_yz = -math.cos(phi) * math.sin(phi) * math.sin(theta)
-    disc = math.sqrt((rho_y - rho_z) ** 2 + 4.0 * rho_yz**2)
-    denom_max = rho_y + rho_z - disc
-    if denom_max <= 0.0:
-        raise DomainError(
-            "degenerate footprint orientation: rho_max is unbounded "
-            f"(theta={theta}, phi={phi})"
-        )
-    rho_min = 2.0 / (rho_y + rho_z + disc)
-    rho_max = 2.0 / denom_max
+    rho_min, rho_max = _footprint(g)
 
     v_min = g.alpha / w * math.sqrt(math.pi / (2.0 * rho_min))
     v_max = g.alpha / w * math.sqrt(math.pi / (2.0 * rho_max))

@@ -85,21 +85,20 @@ def max_threshold(hw: HardwareProfile) -> float:
     return math.inf if k2 == 0.0 else 1.0 / k2
 
 
-def _effective_threshold(s: OutageScenario) -> float | None:
-    """gamma_th / (1 - kappa^2 gamma_th), or None past the ceiling."""
-    k2 = s.hw.kappa_sq_sum
-    denom = 1.0 - k2 * s.gamma_th
+def _argument(s: OutageScenario) -> float | None:
+    """The CDF argument sqrt(gamma_th_eff / gamma), or None at and past
+    the ceiling, where OP = 1."""
+    denom = 1.0 - s.hw.kappa_sq_sum * s.gamma_th
     if denom <= 0.0:
         return None
-    return s.gamma_th / denom
+    return math.sqrt(s.gamma_th / denom / s.gamma)
 
 
 def op_exact(s: OutageScenario) -> float:
     """Outage probability for the scenario's case (exact CDF route)."""
-    eff = _effective_threshold(s)
-    if eff is None:
+    x = _argument(s)
+    if x is None:
         return 1.0
-    x = math.sqrt(eff / s.gamma)
     if s.mis is None:
         return cdf_A(s.kg, x)
     return cdf_Ae2e(s.kg, s.mis, x)
@@ -116,10 +115,9 @@ def op_asymptotic(s: OutageScenario) -> float:
     where the truncated sum is not a probability below 1 (far from the
     high-SNR regime).
     """
-    eff = _effective_threshold(s)
-    if eff is None:
+    x = _argument(s)
+    if x is None:
         return 1.0
-    x = math.sqrt(eff / s.gamma)
     sign, logmag, _ = _log_series(s.kg, s.mis, x, w=0.0)
     if sign <= 0.0 or logmag >= 0.0:
         raise AsymptoteOutOfRegime(
@@ -143,7 +141,7 @@ def op_floor(s: OutageScenario) -> float:
     """
     if s.mis is None:
         raise DomainError("op_floor requires a misalignment scenario")
-    if _effective_threshold(s) is None:
+    if _argument(s) is None:
         return 1.0
     p, zeta, b_o = s.kg, s.mis.zeta, s.mis.b_o
     if zeta >= 2.0 * min(p.k_a, p.m_a):

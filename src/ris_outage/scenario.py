@@ -33,7 +33,7 @@ error that names the block.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace as dc_replace
 
 from .errors import ConfigError, RisOutageError
 from .fading import MGDistribution, from_nakagami, from_rice
@@ -43,9 +43,15 @@ from .outage import HardwareProfile
 
 __all__ = ["ScenarioFile", "SweepSpec", "parse_scenario", "load_scenario"]
 
-# the GeometryConfig fields a sweep may vary
-GEOMETRY_SWEEPS = ("sigma_p", "l2", "alpha", "phi")
-SWEEP_VARIABLES = ("gamma_over_gamma_th_db", "gamma_th", *GEOMETRY_SWEEPS, "kappa")
+# the ScenarioFile input that each sweep variable replaces: a geometry
+# sweep sets the GeometryConfig field of its name, kappa both kappa_s and kappa_d
+SWEPT_INPUT = {
+    "gamma_over_gamma_th_db": "gamma",
+    "gamma_th": "gamma_th",
+    **dict.fromkeys(("sigma_p", "l2", "alpha", "phi"), "geometry"),
+    "kappa": "hardware",
+}
+SWEEP_VARIABLES = tuple(SWEPT_INPUT)
 
 
 class ScenarioParseError(ConfigError):
@@ -78,6 +84,10 @@ class SweepSpec:
         if not self.start <= self.stop:
             raise ConfigError("sweep range must be ordered (start <= stop)")
 
+    def unused(self, what: str) -> str:
+        """The refusal of what, an input that this sweep replaces."""
+        return f"{what} is not used: the {self.variable} sweep sets {SWEPT_INPUT[self.variable]}"
+
     def values(self) -> list[float]:
         if self.points == 1:
             return [self.start]
@@ -96,6 +106,21 @@ class ScenarioFile:
     mc: MCConfig | None = None
     gamma: float | None = None      # linear; required unless sweeping the ratio
     gamma_th: float = 1.0           # linear
+
+    def point_inputs(self, value: float) -> tuple:
+        """(hardware, geometry, gamma, gamma_th) at one sweep value: the
+        scenario's own, but for the input that the sweep sets."""
+        inputs = {"hardware": self.hardware, "geometry": self.geometry,
+                  "gamma": self.gamma, "gamma_th": self.gamma_th}
+        sets = SWEPT_INPUT[self.sweep.variable]
+        if sets == "gamma":
+            value = self.gamma_th * _from_db(value)
+        elif sets == "hardware":
+            value = HardwareProfile(kappa_s=value, kappa_d=value)
+        elif sets == "geometry":
+            value = dc_replace(self.geometry, **{self.sweep.variable: value})
+        inputs[sets] = value
+        return tuple(inputs.values())
 
 
 def _to_float(v: str) -> float:
@@ -306,21 +331,20 @@ def parse_scenario(text: str) -> ScenarioFile:
     typed = {name: _build_typed(name, root[name]) for name in _TYPED_BLOCKS if name in root}
     link = _link(root.get("link", {}))
 
-    variable = typed["sweep"].variable
-    if variable == "gamma_over_gamma_th_db" and "gamma" in link:
+    sweep = typed["sweep"]
+    sets = SWEPT_INPUT[sweep.variable]
+    if sets == "gamma" and "gamma" in link:
         raise ScenarioParseError(
-            "gamma_db is not used: the gamma_over_gamma_th_db sweep sets gamma",
-            root["link"]["gamma_db"][1],
-            field_name="link.gamma_db",
+            sweep.unused("gamma_db"), root["link"]["gamma_db"][1], field_name="link.gamma_db"
         )
-    if variable != "gamma_over_gamma_th_db" and "gamma" not in link:
+    if sets != "gamma" and "gamma" not in link:
         raise ScenarioParseError(
             "sweeps other than gamma_over_gamma_th_db need link { gamma_db = ... }",
             field_name="link.gamma_db",
         )
-    if variable in GEOMETRY_SWEEPS and "geometry" not in typed:
+    if sets == "geometry" and "geometry" not in typed:
         raise ScenarioParseError(
-            f"sweep over {variable} requires a geometry block",
+            f"sweep over {sweep.variable} requires a geometry block",
             field_name="geometry",
         )
 

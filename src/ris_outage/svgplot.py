@@ -12,10 +12,8 @@ _W, _H = 640, 440
 _ML, _MR, _MT, _MB = 70, 20, 30, 50
 
 
-def _ticks_linear(lo: float, hi: float, n: int = 6) -> list[float]:
-    if hi <= lo:
-        return [lo]
-    raw = (hi - lo) / max(n - 1, 1)
+def _ticks_linear(lo: float, hi: float) -> list[float]:
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:

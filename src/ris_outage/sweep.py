@@ -24,15 +24,8 @@ from .errors import (
 )
 from .geometry import GeometryConfig, MisalignmentStats, misalignment_stats
 from .montecarlo import CurvePoint, simulate_curve
-from .outage import (
-    HardwareProfile,
-    OutageScenario,
-    max_threshold,
-    op_asymptotic,
-    op_exact,
-    op_floor,
-)
-from .scenario import ScenarioFile, _from_db
+from .outage import OutageScenario, max_threshold, op_asymptotic, op_exact, op_floor
+from .scenario import ScenarioFile
 
 __all__ = ["SweepRow", "evaluate_sweep", "derived_report"]
 
@@ -65,24 +58,6 @@ COLUMNS = tuple(f.name for f in fields(SweepRow))
 CSV_HEADER = ",".join(COLUMNS)
 
 
-def _point_inputs(scn: ScenarioFile, value: float):
-    """Resolve (hardware, geometry, gamma, gamma_th) for one sweep point."""
-    hw = scn.hardware
-    geometry = scn.geometry
-    gamma_th = scn.gamma_th
-    if scn.sweep.variable == "gamma_over_gamma_th_db":
-        gamma = gamma_th * _from_db(value)
-    else:
-        gamma = scn.gamma
-        if scn.sweep.variable == "gamma_th":
-            gamma_th = value
-        elif scn.sweep.variable == "kappa":
-            hw = HardwareProfile(kappa_s=value, kappa_d=value)
-        else:  # geometry sweeps
-            geometry = dc_replace(geometry, **{scn.sweep.variable: value})
-    return hw, geometry, gamma, gamma_th
-
-
 def _misalignment(geometry: GeometryConfig | None) -> tuple[MisalignmentStats | None, bool]:
     """(mis, aligned): the geometry's misalignment law, or None with
     aligned set where its jitter is degenerate."""
@@ -100,7 +75,7 @@ def _eval_point(
     """Closed-form row of one sweep point, and the point's Monte Carlo
     inputs.  mis_of caches _misalignment per geometry across the points
     of a curve: a sweep that leaves the geometry alone takes it once."""
-    hw, geometry, gamma, gamma_th = _point_inputs(scn, value)
+    hw, geometry, gamma, gamma_th = scn.point_inputs(value)
     if geometry not in mis_of:
         mis_of[geometry] = _misalignment(geometry)
     mis, aligned = mis_of[geometry]

@@ -10,9 +10,15 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from conftest import MIXED_SIGMA_P_SWEEP, mp_cdf_A
-from ris_outage import ConfigError, RisOutageError, moment_match
+from ris_outage import (
+    ConfigError,
+    GeometryConfig,
+    HardwareProfile,
+    RisOutageError,
+    moment_match,
+)
 from ris_outage.cli import main
-from ris_outage.scenario import ScenarioParseError, parse_scenario
+from ris_outage.scenario import SWEEP_VARIABLES, ScenarioParseError, parse_scenario
 from ris_outage.sweep import CSV_HEADER, evaluate_sweep
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -45,6 +51,14 @@ class TestParser:
         bad = MINIMAL.replace("gamma_over_gamma_th_db", "bandwidth")
         with pytest.raises(ScenarioParseError, match="sweep.variable"):
             parse_scenario(bad)
+
+    def test_unknown_sweep_variable_lists_the_variables(self):
+        with pytest.raises(ScenarioParseError) as info:
+            parse_scenario(MINIMAL.replace("gamma_over_gamma_th_db", "bandwidth"))
+        assert str(info.value) == (
+            "unknown sweep variable 'bandwidth'; expected one of ('gamma_over_gamma_th_db',"
+            " 'gamma_th', 'sigma_p', 'l2', 'alpha', 'phi', 'kappa') (field 'sweep')"
+        )
 
     def test_missing_block_named_in_error(self):
         bad = MINIMAL.replace("ris { n_elements = 4 }", "")
@@ -128,6 +142,30 @@ class TestParser:
 
 
 class TestSweepEngine:
+    @pytest.mark.parametrize("variable", SWEEP_VARIABLES)
+    def test_point_inputs_move_only_the_swept_input(self, variable):
+        text = MIXED_SIGMA_P_SWEEP.replace("variable = sigma_p", f"variable = {variable}")
+        if variable == "gamma_over_gamma_th_db":
+            text = text.replace("gamma_db = 8.0  ", "")
+        scn = parse_scenario(text)
+        own = (scn.hardware, scn.geometry, scn.gamma, scn.gamma_th)
+        value = 0.125
+        if variable == "gamma_over_gamma_th_db":
+            moved = {2: scn.gamma_th * 10.0 ** (value / 10.0)}
+        elif variable == "gamma_th":
+            moved = {3: value}
+        elif variable == "kappa":
+            moved = {0: HardwareProfile(kappa_s=value, kappa_d=value)}
+        else:
+            moved = {1: GeometryConfig(**dict(vars(scn.geometry), **{variable: value}))}
+        point = scn.point_inputs(value)
+        assert len(point) == 4
+        for i, (got, before) in enumerate(zip(point, own)):
+            if i in moved:
+                assert got == moved[i] != before, i
+            else:
+                assert got is before, i
+
     def test_rows_and_header_shape(self):
         scn = parse_scenario(MINIMAL)
         rows = evaluate_sweep(scn)
@@ -468,15 +506,19 @@ class TestCli:
             ("sigma_p = 0.05", "sigma_p = 1e300", 2),
             ("sigma_o = 0.0  d_x = 0.0", "sigma_o = 1e300  d_x = 1.0", 2),
             ("sigma_o = 0.0  d_x = 0.0", "sigma_o = 0.1  d_x = 1e300", 2),
+            # an edge-on orientation, whose footprint rho_max is unbounded
+            ("phi = 2.0943951023931953", "phi = 0", 2),
             # swept values: the same check at the sweep point
             ("gamma_th = 1.0 }\nsweep { variable = gamma_over_gamma_th_db  start = -10  stop = 10",
              "gamma_th = 1.0  gamma_db = 10 }\nsweep { variable = l2  start = 1  stop = 1e300", 3),
+            ("gamma_th = 1.0 }\nsweep { variable = gamma_over_gamma_th_db  start = -10  stop = 10",
+             "gamma_th = 1.0  gamma_db = 10 }\nsweep { variable = phi  start = -1  stop = 1", 3),
             # 10^(1e5) overflows: gamma is infinite at the second point
             ("stop = 10 ", "stop = 1e6 ", 3),
         ],
         ids=["l2-huge", "l2-tiny", "w_o-huge", "w_o-tiny", "f-huge", "f-tiny",
-             "cn2-huge", "cn2-tiny", "sigma_p-huge", "sigma_o-huge", "d_x-huge",
-             "swept-l2-huge", "swept-db-huge"],
+             "cn2-huge", "cn2-tiny", "sigma_p-huge", "sigma_o-huge", "d_x-huge", "phi-edge-on",
+             "swept-l2-huge", "swept-phi-edge-on", "swept-db-huge"],
     )
     @pytest.mark.parametrize("command", ["run", "report"])
     def test_extreme_geometry_exit_code(self, tmp_path, capsys, command, old, new, code):

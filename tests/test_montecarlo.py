@@ -25,7 +25,7 @@ from ris_outage import (
     simulate_op,
 )
 from ris_outage import montecarlo
-from ris_outage.sweep import _point_inputs, evaluate_sweep
+from ris_outage.sweep import evaluate_sweep
 
 RICE_5DB = 10.0 ** 0.5
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -239,7 +239,7 @@ class TestSimulateCurve:
         assert "aligned" in rows[0].flags
         assert all("aligned" not in r.flags for r in rows[1:])
         for row in rows:
-            hw, geometry, gamma, gamma_th = _point_inputs(scn, row.sweep_value)
+            hw, geometry, gamma, gamma_th = scn.point_inputs(row.sweep_value)
             mis = None if "aligned" in row.flags else misalignment_stats(geometry)
             est = simulate_op(
                 scn.hop1, scn.hop2, scn.n_elements, mis, hw, gamma, gamma_th, scn.mc

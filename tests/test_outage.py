@@ -25,7 +25,7 @@ from ris_outage import (
     op_floor,
 )
 from ris_outage.cascade import _signed_logsum
-from ris_outage.outage import _effective_threshold
+from ris_outage.outage import _argument
 
 RICE_5DB = 10.0 ** 0.5
 
@@ -80,6 +80,26 @@ class TestOpExact:
         s1 = OutageScenario(kg=p, hw=hw, gamma=10.0, gamma_th=gamma_th)
         s2 = OutageScenario(kg=p, hw=HardwareProfile(), gamma=10.0, gamma_th=eff)
         assert op_exact(s1) == op_exact(s2)
+
+    @pytest.mark.parametrize("kappas", [(0.0, 0.0), (0.09, 0.1), (0.13, 0.3), (0.3, 0.3)])
+    def test_argument_is_the_two_step_reduction(self, kappas):
+        # sqrt(gamma_th_eff / gamma) bit for bit below the ceiling, None
+        # exactly where 1 - kappa^2 gamma_th <= 0, also one ulp either side
+        p = kg_reference(4)
+        hw = HardwareProfile(*kappas)
+        k2 = hw.kappa_sq_sum
+        ceiling = 1.0 / k2 if k2 else 1e300
+        thresholds = [1e-3, 1.0, 0.5 * ceiling, math.nextafter(ceiling, 0.0), ceiling,
+                      math.nextafter(ceiling, math.inf), 2.0 * ceiling]
+        for gamma_th in thresholds:
+            for gamma in (1e-3, 1.0, 1e8):
+                sc = OutageScenario(kg=p, hw=hw, gamma=gamma, gamma_th=gamma_th)
+                denom = 1.0 - k2 * gamma_th
+                if denom <= 0.0:
+                    assert _argument(sc) is None, gamma_th
+                else:
+                    eff = gamma_th / denom
+                    assert _argument(sc) == math.sqrt(eff / gamma), gamma_th
 
     def test_monotone_in_gamma(self):
         p = kg_reference(4)
@@ -256,7 +276,7 @@ class TestOpFloor:
             for _ in range(abs(step)):
                 gamma_th = math.nextafter(gamma_th, math.copysign(math.inf, step))
             sc = OutageScenario(kg=p, hw=hw, gamma=10.0, gamma_th=gamma_th, mis=s)
-            assert (op_floor(sc) == 1.0) == (_effective_threshold(sc) is None), step
+            assert (op_floor(sc) == 1.0) == (_argument(sc) is None), step
 
     def test_undefined_when_zeta_large(self):
         p = kg_reference(16)
