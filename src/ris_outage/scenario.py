@@ -83,6 +83,8 @@ class SweepSpec:
             raise ConfigError(f"points must be >= 1, got {self.points}")
         if not self.start <= self.stop:
             raise ConfigError("sweep range must be ordered (start <= stop)")
+        if self.points > 1 and not math.isfinite(self.stop - self.start):
+            raise ConfigError("sweep range is too wide: stop - start leaves float range")
 
     def unused(self, what: str) -> str:
         """The refusal of what, an input that this sweep replaces."""

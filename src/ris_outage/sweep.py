@@ -11,7 +11,7 @@ fast it runs, never the numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace as dc_replace
+from dataclasses import dataclass, fields
 
 from .cascade import KGParams, moment_match
 from .errors import (
@@ -71,10 +71,10 @@ def _misalignment(geometry: GeometryConfig | None) -> tuple[MisalignmentStats | 
 
 def _eval_point(
     scn: ScenarioFile, kg: KGParams, value: float, mis_of: dict
-) -> tuple[SweepRow, CurvePoint]:
-    """Closed-form row of one sweep point, and the point's Monte Carlo
-    inputs.  mis_of caches _misalignment per geometry across the points
-    of a curve: a sweep that leaves the geometry alone takes it once."""
+) -> tuple[tuple, CurvePoint]:
+    """One sweep point's closed-form cells (value, exact, asymptotic, floor,
+    flags) and its Monte Carlo inputs.  mis_of caches _misalignment per geometry
+    across a curve: a sweep that leaves the geometry alone takes it once."""
     hw, geometry, gamma, gamma_th = scn.point_inputs(value)
     if geometry not in mis_of:
         mis_of[geometry] = _misalignment(geometry)
@@ -93,49 +93,36 @@ def _eval_point(
             floor = op_floor(scenario)
         except FloorUndefined:
             flags.append("floor_undefined")
-    row = SweepRow(
-        sweep_value=value,
-        op_exact=exact,
-        op_asymptotic=asym,
-        op_floor=floor,
-        op_mc=None,
-        mc_stderr=None,
-        flags=tuple(flags),
-    )
-    return row, (mis, hw, gamma, gamma_th)
+    return (value, exact, asym, floor, tuple(flags)), (mis, hw, gamma, gamma_th)
 
 
 def evaluate_sweep(scn: ScenarioFile, with_mc: bool = False) -> list[SweepRow]:
-    """Evaluate every sweep point.  A numeric failure at a point raises
-    the original RisOutageError with the offending sweep value appended
-    to its arguments (and so to its message).  ConfigError where with_mc
-    is set and the scenario has no mc block."""
+    """Evaluate every sweep point: the closed forms point by point, then,
+    with_mc set, the curve's Monte Carlo, and last each point's row, built
+    here only.  A numeric failure at a point raises the original
+    RisOutageError, before any sampling, with the offending sweep value
+    appended to its arguments (and so to its message).  ConfigError where
+    with_mc is set and the scenario has no mc block."""
     if with_mc and scn.mc is None:
         raise ConfigError("--mc needs an mc block in the scenario")
     kg = moment_match(scn.hop1, scn.hop2, scn.n_elements)
-    rows: list[SweepRow] = []
+    closed: list[tuple] = []
     points: list[CurvePoint] = []
     mis_of: dict = {}
     for value in scn.sweep.values():
         try:
-            row, point = _eval_point(scn, kg, value, mis_of)
+            cells, point = _eval_point(scn, kg, value, mis_of)
         except RisOutageError as exc:
             exc.args += (f"(at sweep point {scn.sweep.variable} = {value:g})",)
             raise
-        rows.append(row)
+        closed.append(cells)
         points.append(point)
-    if not with_mc:
-        return rows
-    estimates = simulate_curve(scn.hop1, scn.hop2, scn.n_elements, points, scn.mc)
-    return [
-        dc_replace(
-            row,
-            op_mc=est.op_hat,
-            mc_stderr=est.stderr,
-            flags=row.flags + (("mc_tail",) if est.tail_flag else ()),
-        )
-        for row, est in zip(rows, estimates)
-    ]
+    mc = [(None, None, ())] * len(points)
+    if with_mc:
+        mc = [(est.op_hat, est.stderr, ("mc_tail",) if est.tail_flag else ())
+              for est in simulate_curve(scn.hop1, scn.hop2, scn.n_elements, points, scn.mc)]
+    return [SweepRow(value, exact, asym, floor, op_mc, stderr, flags + tail)
+            for (value, exact, asym, floor, flags), (op_mc, stderr, tail) in zip(closed, mc)]
 
 
 def derived_report(scn: ScenarioFile) -> dict:

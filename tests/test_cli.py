@@ -475,10 +475,13 @@ class TestCli:
             ("sweep {", "link { gamma_th = 3  gamma_th_db = 0 }\nsweep {", "link"),
             ("sweep {", "link { gamma_th = 0 }\nsweep {", "link.gamma_th"),
             ("sweep {", "link { gamma_db = 4000 }\nsweep {", "link.gamma_db"),
+            # finite ends whose difference, and so the step, overflows
+            ("start = 0  stop = 10", "start = -1.7e308  stop = 1.7e308", "sweep"),
         ],
         ids=["nakagami-m", "nakagami-omega", "nakagami-huge-m", "rice-no-terms",
              "rice-past-float-range", "kappa-s", "geometry-l2",
-             "mc-workers", "two-thresholds", "zero-threshold", "gamma-db-overflow"],
+             "mc-workers", "two-thresholds", "zero-threshold", "gamma-db-overflow",
+             "sweep-span-overflow"],
     )
     def test_out_of_domain_value_exit_code(self, tmp_path, old, new, field):
         scn = tmp_path / "bad.scenario"

@@ -246,6 +246,31 @@ class TestSimulateCurve:
             )
             assert (row.op_mc, row.mc_stderr) == (est.op_hat, est.stderr)
 
+    def test_mc_tail_follows_the_closed_form_flags(self):
+        # 60 samples at 0 dB: every point counts fewer than 10 outages, so
+        # each row ends in mc_tail after its closed-form flags
+        scn = parse_scenario(
+            MIXED_SIGMA_P_SWEEP.replace("gamma_db = 8.0", "gamma_db = 0.0")
+            .replace("stop = 0.15", "stop = 0.04").replace("samples = 30000", "samples = 60"))
+        rows = evaluate_sweep(scn, with_mc=True)
+        assert [r.flags for r in rows] == [
+            ("aligned", "mc_tail"),
+            ("floor_undefined", "mc_tail"),
+            ("asymptote_undefined", "floor_undefined", "mc_tail"),
+            ("mc_tail",),
+        ]
+        for row, closed in zip(rows, evaluate_sweep(scn)):
+            assert (row.sweep_value, row.op_exact, row.op_asymptotic, row.op_floor) == (
+                closed.sweep_value, closed.op_exact, closed.op_asymptotic, closed.op_floor)
+            assert row.flags == closed.flags + ("mc_tail",)
+            hw, geometry, gamma, gamma_th = scn.point_inputs(row.sweep_value)
+            mis = None if "aligned" in row.flags else misalignment_stats(geometry)
+            est = simulate_op(
+                scn.hop1, scn.hop2, scn.n_elements, mis, hw, gamma, gamma_th, scn.mc
+            )
+            assert est.tail_flag
+            assert (row.op_mc, row.mc_stderr) == (est.op_hat, est.stderr)
+
     def test_shared_draws_monotone_along_snr(self):
         with open(os.path.join(SCENARIO_DIR, "aligned_elements.scenario")) as fh:
             scn = parse_scenario(fh.read())
