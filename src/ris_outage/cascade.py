@@ -578,7 +578,7 @@ def cdf_Ae2e_quadrature(p: KGParams, s: MisalignmentStats, x: float) -> float:
     fine = _self_checked(
         "cdf_Ae2e", x, lambda fine: _cdf_Ae2e_rule(p, s, x, fine), rel=1e-9
     )
-    return min(max(fine, 0.0), 1.0)
+    return min(fine, 1.0)
 
 
 def pdf_Ae2e(p: KGParams, s: MisalignmentStats, x: float) -> float:
@@ -596,7 +596,6 @@ def pdf_Ae2e(p: KGParams, s: MisalignmentStats, x: float) -> float:
         raise DomainError(f"pdf_Ae2e requires x > 0, got {x}")
     if x >= s.b_o * _x_upper(p):
         return 0.0
-    fine = _self_checked(
+    return _self_checked(
         "pdf_Ae2e", x, lambda fine: _pdf_Ae2e_rule(p, s, x, fine), rel=1e-9
     )
-    return max(fine, 0.0)

@@ -14,13 +14,16 @@ holds two (chunk, N) float arrays at its peak, the product of the hops
 so far and the next hop's draw, so its size is set in envelope pairs:
 _CHUNK_PAIRS // N snapshots, at most _CHUNK_SIZE and at least one.  Each
 array then stays at or under 256 KB up to N = 32768, and the pool keeps
-at most two chunks per worker in flight, so a curve's memory grows
-neither with its sample count nor, up to that N, with N.
+at most two chunks per worker in flight.  A chunk keeps one squared gain
+and one SNR array, those of its last misalignment law, so a curve's
+memory grows neither with its sample count nor with its number of laws
+nor, up to that N, with N.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from collections import deque
 from collections.abc import Callable, Iterator, Sequence
@@ -63,8 +66,10 @@ class MCConfig:
     workers: int | str = "auto"
 
     def __post_init__(self):
-        if self.samples <= 0:
-            raise ConfigError(f"samples must be positive, got {self.samples}")
+        if not (isinstance(self.samples, numbers.Integral) and self.samples >= 1):
+            raise ConfigError(f"samples must be an integer >= 1, got {self.samples!r}")
+        if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 1 << 64):
+            raise ConfigError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
         if self.workers != "auto" and not (isinstance(self.workers, int) and self.workers >= 1):
             raise ConfigError(f"workers must be 'auto' or an integer >= 1, got {self.workers!r}")
 
@@ -100,7 +105,7 @@ class MCEstimate:
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     # splittable derivation: stream is a pure function of (seed, index)
     return np.random.Generator(
-        np.random.Philox(key=np.uint64(seed & 0xFFFFFFFFFFFFFFFF), counter=[0, 0, 0, chunk_index])
+        np.random.Philox(key=np.uint64(seed), counter=[0, 0, 0, chunk_index])
     )
 
 
@@ -176,8 +181,8 @@ def simulate_curve(
     Point j's estimate equals simulate_op at that point with the same cfg.
     A point needs 0 < gamma < inf and gamma_th >= 0 (0 and inf allowed).
     """
-    if n_elements < 1:
-        raise ConfigError(f"n_elements must be >= 1, got {n_elements}")
+    if not (isinstance(n_elements, numbers.Integral) and n_elements >= 1):
+        raise ConfigError(f"n_elements must be an integer >= 1, got {n_elements!r}")
     if not points:
         raise ConfigError("points is empty")
     for _, _, gamma, gamma_th in points:
@@ -195,18 +200,16 @@ def simulate_curve(
         hg *= sample_envelope(d2, rng, (n, n_elements))
         a = _row_sums(hg)
         u = 1.0 - rng.random(size=n) if misaligned else None
-        g2_of = {None: a * a}  # squared gain per distinct misalignment law
-        snr_key = gamma_u = None
+        snr_key = g2 = gamma_u = None
         hits = np.empty(len(points), dtype=np.int64)
         for j, (mis, hw, gamma, gamma_th) in enumerate(points):
             k2 = hw.kappa_sq_sum
-            # a run of points that differ only in gamma_th (a gamma_th
-            # sweep) shares one SNR array; only the last one is kept
+            # only the last squared gain and SNR array are kept: a run of
+            # points with one law shares the first, a gamma_th sweep both
             if (mis, k2, gamma) != snr_key:
-                g2 = g2_of.get(mis)
-                if g2 is None:
-                    gain = a * (mis.b_o * u ** (1.0 / mis.zeta))
-                    g2 = g2_of[mis] = gain * gain
+                if snr_key is None or mis != snr_key[0]:
+                    gain = a if mis is None else a * (mis.b_o * u ** (1.0 / mis.zeta))
+                    g2 = gain * gain
                 # ideal hardware: 0 g2 + 1/gamma is 1/gamma for finite g2
                 denom = 1.0 / gamma if k2 == 0.0 else k2 * g2 + 1.0 / gamma
                 gamma_u, snr_key = g2 / denom, (mis, k2, gamma)

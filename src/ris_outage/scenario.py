@@ -133,7 +133,10 @@ def _to_float(v: str) -> float:
 
 
 def _to_int(v: str) -> int:
-    x = _to_float(v)
+    try:
+        return int(v)  # exact past 2^53
+    except ValueError:
+        x = _to_float(v)  # the 1e6 form
     if x != int(x):
         raise ValueError(v)
     return int(x)

@@ -37,7 +37,8 @@ def render_log_plot(
     """Return an SVG document plotting the series, outage probabilities,
     on a log-10 y axis.
 
-    None entries and non-positive values are skipped (lines break there).
+    None entries and non-positive values are skipped (lines break there);
+    a point with no drawn neighbour is drawn as a marker.
     With no positive value at all (every outage probability 0) the plot
     keeps its frame, x axis and legend, and says so where the lines would
     be.  ValueError when there is no x value.
@@ -122,6 +123,9 @@ def render_log_plot(
                     f'<polyline points="{" ".join(seg)}" fill="none" '
                     f'stroke="{color}" stroke-width="1.5"/>'
                 )
+            elif seg:  # a lone point: a marker
+                cx, cy = seg[0].split(",")
+                parts.append(f'<circle cx="{cx}" cy="{cy}" r="2.5" fill="{color}"/>')
         ly = _MT + 16 + 16 * i
         parts.append(
             f'<line x1="{_W - _MR - 130}" y1="{ly}" x2="{_W - _MR - 105}" y2="{ly}" '

@@ -19,7 +19,7 @@ from ris_outage import (
 )
 from ris_outage.cli import main
 from ris_outage.scenario import SWEEP_VARIABLES, ScenarioParseError, parse_scenario
-from ris_outage.sweep import CSV_HEADER, evaluate_sweep
+from ris_outage.sweep import CSV_HEADER, LEGENDS, evaluate_sweep
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -86,6 +86,11 @@ class TestParser:
         bad = MINIMAL + "mc { samples = 100  workers = abc }\n"
         with pytest.raises(ScenarioParseError, match="workers"):
             parse_scenario(bad)
+
+    def test_integer_values_parse_exactly(self):
+        # past 2^53 a float would round 2^53 + 1 to 2^53; 1e3 stays an integer
+        scn = parse_scenario(MINIMAL + "mc { samples = 1e3  seed = 9007199254740993 }\n")
+        assert (scn.mc.samples, scn.mc.seed) == (1000, 2 ** 53 + 1)
 
     def test_non_ratio_sweep_requires_gamma(self):
         bad = MINIMAL.replace("gamma_over_gamma_th_db", "gamma_th")
@@ -286,6 +291,18 @@ class TestCli:
         assert not any(el.tag.endswith("polyline") for el in root.iter())
         assert "no positive value" in svg
 
+    def test_lone_point_svg(self, tmp_path):
+        # a point with no drawn neighbour is a marker in its series colour
+        scn = tmp_path / "one.scenario"
+        scn.write_text(MINIMAL.replace("points = 3", "points = 1"))
+        assert run_cli(["run", str(scn), "-o", str(tmp_path), "--svg"]) == 0
+        header, row = (tmp_path / "curve.csv").read_text().splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        plotted = [name for name in LEGENDS if cells[name]]
+        root = ET.fromstring((tmp_path / "curve.svg").read_text())
+        fills = [el.get("fill") for el in root.iter() if el.tag.endswith("circle")]
+        assert len(plotted) >= 2 and len(set(fills)) == len(fills) == len(plotted)
+
     def test_cached_parser_keeps_no_state(self, tmp_path):
         # the parser is built once per process: no flag of one call may
         # reach the next one
@@ -472,6 +489,9 @@ class TestCli:
              "alpha = 0.1  theta = 5.5  phi = 2.1  sigma_p = 0.05 }\nsweep {", "geometry"),
             # checked although run without --mc
             ("sweep {", "mc { samples = 100  workers = 0 }\nsweep {", "mc"),
+            # a seed names one Philox key: -1 and 2^64 would wrap onto another
+            ("sweep {", "mc { samples = 100  seed = -1 }\nsweep {", "mc"),
+            ("sweep {", "mc { samples = 100  seed = 18446744073709551616 }\nsweep {", "mc"),
             ("sweep {", "link { gamma_th = 3  gamma_th_db = 0 }\nsweep {", "link"),
             ("sweep {", "link { gamma_th = 0 }\nsweep {", "link.gamma_th"),
             ("sweep {", "link { gamma_db = 4000 }\nsweep {", "link.gamma_db"),
@@ -480,8 +500,8 @@ class TestCli:
         ],
         ids=["nakagami-m", "nakagami-omega", "nakagami-huge-m", "rice-no-terms",
              "rice-past-float-range", "kappa-s", "geometry-l2",
-             "mc-workers", "two-thresholds", "zero-threshold", "gamma-db-overflow",
-             "sweep-span-overflow"],
+             "mc-workers", "mc-negative-seed", "mc-seed-2-64", "two-thresholds",
+             "zero-threshold", "gamma-db-overflow", "sweep-span-overflow"],
     )
     def test_out_of_domain_value_exit_code(self, tmp_path, old, new, field):
         scn = tmp_path / "bad.scenario"

@@ -550,12 +550,19 @@ class TestRouterBoundaries:
     @pytest.mark.parametrize("zeta", [None, 3.1])
     def test_record_invariants(self, k_a, m_a, zeta):
         # the series arm prices exp(log), the twin arm log(value); both
-        # routes and both range bounds appear over the grid
+        # routes and both range bounds appear over the grid, and each twin
+        # prices the bounds itself too
         p = make_kg(k_a, m_a)
         s = None if zeta is None else make_stats(0.6, zeta)
         b_o = 1.0 if s is None else s.b_o
+        top = b_o * cascade._x_upper(p)
         assert cascade._cdf(p, s, 0.0) == (0.0, -math.inf, False)
-        assert cascade._cdf(p, s, b_o * cascade._x_upper(p)) == (1.0, 0.0, False)
+        assert cascade._cdf(p, s, top) == (1.0, 0.0, False)
+        for x, want in ((0.0, 0.0), (top, 1.0), (2.0 * top, 1.0)):
+            got = _cdf_A_quadrature(p, x) if s is None else cdf_Ae2e_quadrature(p, s, x)
+            assert got == want, x
+        if s is not None:
+            assert pdf_Ae2e(p, s, top) == pdf_Ae2e(p, s, 2.0 * top) == 0.0
         for z in (1e-6, 0.5, 12.0, 50.0, 1000.0):
             f = cascade._cdf(p, s, math.sqrt(z) * b_o / p.xi)
             if f.series:

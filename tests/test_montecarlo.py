@@ -49,9 +49,10 @@ def _chunk_array_bytes(n_elements):
     return next(montecarlo._chunk_sizes(8192, n_elements)) * n_elements * 8
 
 
-def _curve_peak(d1, d2, n_elements, samples):
-    """tracemalloc's peak over one aligned one-point curve on one worker."""
-    points = [(None, HardwareProfile(), 10.0, 1.0)]
+def _curve_peak(d1, d2, n_elements, samples, laws=(None,)):
+    """tracemalloc's peak over a curve on one worker, one point per
+    misalignment law (by default one aligned point)."""
+    points = [(mis, HardwareProfile(), 10.0, 1.0) for mis in laws]
     cfg = MCConfig(samples=samples, seed=1, workers=1)
     tracemalloc.start()
     try:
@@ -194,11 +195,15 @@ class TestSimulateOp:
 
     def test_config_validation(self):
         d1, d2 = from_nakagami(1.0), from_nakagami(2.0)
-        with pytest.raises(ConfigError):
-            MCConfig(samples=0)
-        with pytest.raises(ConfigError):
-            simulate_op(d1, d2, 0, None, HardwareProfile(), 1.0, 1.0,
-                        MCConfig(samples=100))
+        for bad in ({"samples": 0}, {"samples": 2.5}, {"samples": 100, "seed": 2.5},
+                    {"samples": 100, "seed": -1}, {"samples": 100, "seed": 2 ** 64}):
+            with pytest.raises(ConfigError):
+                MCConfig(**bad)
+        for n_elements in (0, 2.5):
+            with pytest.raises(ConfigError):
+                simulate_op(d1, d2, n_elements, None, HardwareProfile(), 1.0, 1.0,
+                            MCConfig(samples=100))
+        assert MCConfig(samples=100, seed=2 ** 64 - 1).seed == 2 ** 64 - 1
 
     @pytest.mark.parametrize(
         "gamma,gamma_th",
@@ -379,6 +384,14 @@ class TestSimulateCurve:
         d1, d2 = from_nakagami(1.0), from_rice(RICE_5DB)
         peak = _curve_peak(d1, d2, 4096, samples)
         assert 2.0 * _chunk_array_bytes(4096) < peak < 2.5 * _chunk_array_bytes(4096)
+
+    def test_chunk_memory_flat_in_laws(self):
+        # the counter keeps the last law's squared gain only, so 21 distinct
+        # misalignment laws peak within one 256 KB chunk array of one law
+        d1, d2 = from_nakagami(1.0), from_rice(RICE_5DB)
+        laws = [make_stats(0.3 + 0.02 * k, 3.5) for k in range(21)]
+        one = _curve_peak(d1, d2, 4, 8192, laws[:1])
+        assert _curve_peak(d1, d2, 4, 8192, laws) < one + _chunk_array_bytes(4)
 
     def test_empty_points(self):
         d = from_nakagami(1.0)

@@ -174,7 +174,8 @@ class TestSvgEmitter:
 
     def test_pinned_bytes(self):
         # four series, None gaps, a 0, and a top value one ulp above 1e-2,
-        # whose log10 rounds to -2: y_hi = 1e-2 < value, so it is clamped
+        # whose log10 rounds to -2: y_hi = 1e-2 < value, so it is clamped;
+        # the three points with no drawn neighbour are markers
         series = [
             ("exact", [0.010000000000000002, 8e-3, 5e-3, 1e-3, 2e-4, 3e-5, 4e-6]),
             ("asymptotic", [9.5e-3, None, 6e-3, 1.2e-3, 2.1e-4, 3.3e-5, 4.2e-6]),
@@ -182,9 +183,9 @@ class TestSvgEmitter:
             ("monte carlo", [9e-3, 7e-3, None, 0.0, 1.9e-4, None, 5e-6]),
         ]
         svg = render_log_plot(self.X_PIN, series, x_label="gamma_over_gamma_th_db")
-        assert svg.count("<polyline ") == 4
+        assert svg.count("<polyline ") == 4 and svg.count("<circle ") == 3
         assert hashlib.sha256(svg.encode()).hexdigest() == (
-            "dc980e09d1a2ec3ec55c74e0e5ab5055be030f3c6b1f0eaaeee05f8427108bc4"
+            "3827374d8601f895df620625a5d5a8b7c2a7ec3ea03be186125379f6b9cf54fa"
         )
 
     def test_no_positive_value_keeps_frame_and_says_so(self):
