@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,7 +26,7 @@ import numpy as np
 import scipy.special as sc
 
 from .errors import (
-    DegenerateParameters, DomainError, MomentMatchFailure, NoConvergence, OverflowGuard,
+    DegenerateParameters, DomainError, MomentMatchFailure, NoConvergence, OverflowGuard, _is_int,
 )
 from .fading import MGDistribution, product_moment
 from .geometry import MisalignmentStats
@@ -88,7 +87,7 @@ def _sum_cumulants(
 ) -> list[float]:
     """kappa_0..kappa_max_order of A (kappa_0 = 0): N times the cumulants
     c_j of one product, from its moments normalized by their mass mu_0."""
-    if not (isinstance(n_elements, numbers.Integral) and n_elements >= 1):
+    if not (_is_int(n_elements) and n_elements >= 1):
         raise DomainError(f"n_elements must be an integer >= 1, got {n_elements!r}")
     mu = product_moment(d1, d2, np.arange(max_order + 1))
     m = (mu / mu[0]).tolist()
@@ -104,7 +103,7 @@ def sum_moments(
     """Raw moment E[A^order] of the sum of n_elements i.i.d. envelope
     products, from its cumulants kappa_j by the moment-cumulant recursion
     mu_o = sum_j C(o-1, j-1) kappa_j mu_(o-j), with mu_0 = 1."""
-    if not (isinstance(order, numbers.Integral) and order >= 0):
+    if not (_is_int(order) and order >= 0):
         raise DomainError(f"order must be an integer >= 0, got {order!r}")
     kappa = _sum_cumulants(d1, d2, n_elements, order)
     mu = [1.0]

@@ -1,4 +1,6 @@
-"""Exception taxonomy shared by all modules."""
+"""Exception taxonomy shared by all modules, and the integer test of their counts."""
+
+import numbers
 
 __all__ = [
     "RisOutageError", "DomainError", "NoConvergence", "OverflowGuard",
@@ -52,3 +54,9 @@ class AsymptoteOutOfRegime(RisOutageError):
 
 class ConfigError(RisOutageError, ValueError):
     """Invalid simulation or scenario configuration."""
+
+
+def _is_int(value) -> bool:
+    """The one integer test of the package's counts: an integer that is
+    not a bool, so numpy integers pass and True, 2.0 and 2.5 do not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)

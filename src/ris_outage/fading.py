@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.special as sc
 
-from .errors import DomainError, OverflowGuard
+from .errors import DomainError, OverflowGuard, _is_int
 from .special import _log_gen_k
 
 __all__ = [
@@ -119,8 +119,8 @@ def from_rice(k_r: float, n_terms: int = 20) -> MGDistribution:
     """
     if k_r < 0 or not math.isfinite(k_r):
         raise DomainError(f"Rice K-factor must be finite and >= 0, got {k_r}")
-    if n_terms < 1:
-        raise DomainError(f"n_terms must be >= 1, got {n_terms}")
+    if not (_is_int(n_terms) and n_terms >= 1):
+        raise DomainError(f"n_terms must be an integer >= 1, got {n_terms!r}")
     if k_r > _LOG_MAX:
         raise OverflowGuard(f"Rice K-factor {k_r:g}: mixture coefficients exceed float range")
     counts = np.arange(1.0, k_r + 12.0 * math.sqrt(k_r) + 40.0)

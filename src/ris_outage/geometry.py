@@ -131,6 +131,9 @@ class LinkBudget:
     sigma_w2: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         for name in ("l1", "l2", "dist1", "dist2", "p_s", "sigma_w2"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")

@@ -23,7 +23,6 @@ nor, up to that N, with N.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from collections import deque
 from collections.abc import Callable, Iterator, Sequence
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _is_int
 from .fading import MGDistribution, sample_envelope
 from .geometry import MisalignmentStats
 from .outage import HardwareProfile
@@ -66,11 +65,11 @@ class MCConfig:
     workers: int | str = "auto"
 
     def __post_init__(self):
-        if not (isinstance(self.samples, numbers.Integral) and self.samples >= 1):
+        if not (_is_int(self.samples) and self.samples >= 1):
             raise ConfigError(f"samples must be an integer >= 1, got {self.samples!r}")
-        if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 1 << 64):
+        if not (_is_int(self.seed) and 0 <= self.seed < 1 << 64):
             raise ConfigError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
-        if self.workers != "auto" and not (isinstance(self.workers, int) and self.workers >= 1):
+        if self.workers != "auto" and not (_is_int(self.workers) and self.workers >= 1):
             raise ConfigError(f"workers must be 'auto' or an integer >= 1, got {self.workers!r}")
 
     def resolved_workers(self) -> int:
@@ -181,7 +180,7 @@ def simulate_curve(
     Point j's estimate equals simulate_op at that point with the same cfg.
     A point needs 0 < gamma < inf and gamma_th >= 0 (0 and inf allowed).
     """
-    if not (isinstance(n_elements, numbers.Integral) and n_elements >= 1):
+    if not (_is_int(n_elements) and n_elements >= 1):
         raise ConfigError(f"n_elements must be an integer >= 1, got {n_elements!r}")
     if not points:
         raise ConfigError("points is empty")

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, fields, replace as dc_replace
 
-from .errors import ConfigError, RisOutageError
+from .errors import ConfigError, RisOutageError, _is_int
 from .fading import MGDistribution, from_nakagami, from_rice
 from .geometry import GeometryConfig
 from .montecarlo import MCConfig
@@ -79,8 +79,8 @@ class SweepSpec:
             raise ConfigError(
                 f"unknown sweep variable {self.variable!r}; expected one of {SWEEP_VARIABLES}"
             )
-        if self.points < 1:
-            raise ConfigError(f"points must be >= 1, got {self.points}")
+        if not (_is_int(self.points) and self.points >= 1):
+            raise ConfigError(f"points must be an integer >= 1, got {self.points!r}")
         if not self.start <= self.stop:
             raise ConfigError("sweep range must be ordered (start <= stop)")
         if self.points > 1 and not math.isfinite(self.stop - self.start):

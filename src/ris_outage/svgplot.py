@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 __all__ = ["render_log_plot"]
 
@@ -20,12 +21,10 @@ def _ticks_linear(lo: float, hi: float) -> list[float]:
             step = mult * mag
             break
     first = math.ceil(lo / step) * step
-    out = []
-    t = first
-    while t <= hi + 1e-12 * abs(step):
-        out.append(t)
-        t += step
-    return out
+    # at most 6 ticks fit, as step >= (hi - lo) / 5; by index, and capped,
+    # so that no rounding of the step can stall or run on
+    ticks = (first + i * step for i in range(8))
+    return [t for t in ticks if t - hi <= 1e-12 * step]
 
 
 def render_log_plot(
@@ -59,8 +58,13 @@ def render_log_plot(
         log_lo = math.log10(y_lo)
         log_span = math.log10(y_hi) - log_lo
     x_lo, x_hi = min(x_values), max(x_values)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
+    mid = x_lo / 2 + x_hi / 2
+    if x_hi - x_lo <= 1e-9 * abs(mid):
+        # one value, or too few ulps for distinct ticks: widen about the
+        # centre by half its magnitude, within float range
+        half = 0.5 * abs(mid) if abs(mid) >= sys.float_info.min else 0.5
+        big = sys.float_info.max
+        x_lo, x_hi = max(mid - half, -big), min(mid + half, big)
 
     def px(x: float) -> float:
         return _ML + (x - x_lo) / (x_hi - x_lo) * (_W - _ML - _MR)

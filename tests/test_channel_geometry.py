@@ -237,3 +237,10 @@ class TestLinkBudget:
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             LinkBudget(l1=0, l2=1, n1=2, n2=2, dist1=1, dist2=1, p_s=1, sigma_w2=1)
+
+    @pytest.mark.parametrize("name", ["l1", "l2", "n1", "n2", "dist1", "dist2", "p_s", "sigma_w2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite(self, name, value):
+        ok = dict(l1=1, l2=1, n1=2, n2=2, dist1=1, dist2=1, p_s=1, sigma_w2=1)
+        with pytest.raises(DomainError):
+            LinkBudget(**{**ok, name: value})

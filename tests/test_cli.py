@@ -300,8 +300,11 @@ class TestCli:
         cells = dict(zip(header.split(","), row.split(",")))
         plotted = [name for name in LEGENDS if cells[name]]
         root = ET.fromstring((tmp_path / "curve.svg").read_text())
-        fills = [el.get("fill") for el in root.iter() if el.tag.endswith("circle")]
+        circles = [el for el in root.iter() if el.tag.endswith("circle")]
+        fills = [el.get("fill") for el in circles]
         assert len(plotted) >= 2 and len(set(fills)) == len(fills) == len(plotted)
+        # a one-value x axis is centred on its value
+        assert {el.get("cx") for el in circles} == {"345.00"}
 
     def test_cached_parser_keeps_no_state(self, tmp_path):
         # the parser is built once per process: no flag of one call may
@@ -407,8 +410,11 @@ class TestCli:
             ("report", "n_elements = 4", "n_elements = 1e7", "exceeds 4096"),
             # E[|h|^6] ~ omega^3 leaves float range
             ("run", "m = 1.0 }", "m = 1.0  omega = 1e120 }", "float range"),
+            # a matched moment vector whose shape roots are not both positive
+            ("run", "m = 1.0 }\n  hop2 { kind = rice  k_r_db = 5.0",
+             "m = 50.0 }\n  hop2 { kind = rice  k_r_db = 10.0", "non-positive shape root"),
         ],
-        ids=["huge-n-elements", "huge-omega"],
+        ids=["huge-n-elements", "huge-omega", "nonpositive-shape-root"],
     )
     def test_moment_failure_exit_code(self, tmp_path, command, old, new, message):
         scn = tmp_path / "bad.scenario"

@@ -134,6 +134,13 @@ class TestMomentMatch:
         with pytest.raises(MomentMatchFailure):
             moment_match(from_nakagami(1.05), from_nakagami(0.95), 4)
 
+    @pytest.mark.parametrize("n", [1, 4, 64])
+    def test_failure_on_nonpositive_shape_root(self, n):
+        # a near-deterministic Nakagami hop times a strong Rice hop: the
+        # discriminant is positive, but a root 1/k_a or 1/m_a is not
+        with pytest.raises(MomentMatchFailure, match="non-positive shape root"):
+            moment_match(from_nakagami(50.0), from_rice(10.0), n)
+
     @pytest.mark.parametrize("m", [1.0, 2.0, 2.5, 5.0])
     def test_identical_nakagami_single_element(self, m):
         # N = 1 with identical hops: the generalized-K law is exact with

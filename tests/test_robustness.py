@@ -4,6 +4,8 @@ import ast
 import hashlib
 import importlib
 import math
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -13,7 +15,11 @@ import pytest
 
 from conftest import make_stats
 from ris_outage import (
+    ConfigError,
     DomainError,
+    HardwareProfile,
+    MCConfig,
+    SweepSpec,
     cdf_Ae2e,
     cdf_Ae2e_quadrature,
     envelope_moment,
@@ -27,10 +33,12 @@ from ris_outage import (
     parse_scenario,
     product_moment,
     product_pdf,
+    simulate_cdf,
+    simulate_op,
     sum_moments,
 )
 import ris_outage
-from ris_outage import errors
+from ris_outage import errors, svgplot
 from ris_outage.cascade import _cdf_A_quadrature
 from ris_outage.special import _hyp1f2_diag
 from ris_outage.svgplot import render_log_plot
@@ -188,6 +196,45 @@ class TestSvgEmitter:
             "3827374d8601f895df620625a5d5a8b7c2a7ec3ea03be186125379f6b9cf54fa"
         )
 
+    @pytest.mark.parametrize("x", [[2.0], [-3.0], [0.0]])
+    def test_one_value_is_centred(self, x):
+        svg = render_log_plot(x, [("exact", [0.1])], x_label="gamma_th")
+        assert 'cx="345.00"' in svg
+
+    @staticmethod
+    def _render_in_child(x_values: list[float]) -> str:
+        # the tick loop of a stalled float step grows without bound: render
+        # in a child process with a memory cap and a timeout, never here
+        code = (
+            "import importlib.util, resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+            f"spec = importlib.util.spec_from_file_location('svgplot', {svgplot.__file__!r})\n"
+            "mod = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(mod)\n"
+            f"sys.stdout.write(mod.render_log_plot({x_values!r}, "
+            f"[('exact', [0.1] * {len(x_values)})], x_label='gamma_th'))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        return proc.stdout
+
+    @pytest.mark.parametrize(
+        "x", [[1e20], [1e20, 1.0000000000000002e20]], ids=["one-value", "two-ulps"]
+    )
+    def test_huge_narrow_range_has_finite_distinct_ticks(self, x):
+        # at |x| >= 2^53, x + 1 == x: a range widened by 1 has no span, and
+        # a step below half an ulp never moves the tick
+        root = ET.fromstring(self._render_in_child(x))
+        # the tick labels sit at y = 408, within the frame's x span [70, 620]
+        texts = [el for el in root.iter() if el.tag.endswith("text")]
+        labels = [float(el.text) for el in texts if el.get("y") == "408"]
+        places = [float(el.get("x")) for el in texts if el.get("y") == "408"]
+        assert 2 <= len(labels) <= 6 and all(math.isfinite(t) for t in labels)
+        assert len(set(labels)) == len(labels) and len(set(places)) == len(places)
+        assert all(70.0 <= p <= 620.0 for p in places)
+        assert x[0] * 0.5 <= min(labels) and max(labels) <= x[-1] * 1.5
+
     def test_no_positive_value_keeps_frame_and_says_so(self):
         series = [("exact", [0.0] * 7), ("asymptotic", [None, 0.0] * 3 + [None])]
         svg = render_log_plot(self.X_PIN, series, x_label="gamma_over_gamma_th_db")
@@ -247,6 +294,48 @@ class TestArgumentContract:
     def test_bad_argument_raises_domain_error(self, call, arg):
         with np.errstate(all="raise"), pytest.raises(DomainError):
             call(arg)
+
+
+# each count the package takes, with the error class of its site: one
+# integer rule for all, so bool and non-integers are refused and numpy
+# integers pass
+MC_SMALL = MCConfig(samples=64, workers=1)
+COUNTS = {
+    "moment_match-n_elements": (lambda n: moment_match(NAKA, RICE, n), DomainError),
+    "sum_moments-n_elements": (lambda n: sum_moments(NAKA, RICE, n, 2), DomainError),
+    "sum_moments-order": (lambda n: sum_moments(NAKA, RICE, 4, n), DomainError),
+    "MCConfig-samples": (lambda n: MCConfig(samples=n), ConfigError),
+    "MCConfig-seed": (lambda n: MCConfig(samples=1, seed=n), ConfigError),
+    "MCConfig-workers": (lambda n: MCConfig(samples=1, workers=n), ConfigError),
+    "simulate_op-n_elements": (
+        lambda n: simulate_op(NAKA, RICE, n, None, HardwareProfile(), 1.0, 1.0, MC_SMALL),
+        ConfigError,
+    ),
+    "simulate_cdf-n_elements": (
+        lambda n: simulate_cdf(NAKA, RICE, n, None, [0.5, 1.0], MC_SMALL), ConfigError
+    ),
+    "from_rice-n_terms": (lambda n: from_rice(1.0, n), DomainError),
+    "SweepSpec-points": (lambda n: SweepSpec("gamma_th", 0.5, 1.0, n), ConfigError),
+}
+
+
+class TestIntegerCounts:
+    @pytest.mark.parametrize("value", [True, False, 2.5, 2.0], ids=["True", "False", "2.5", "2.0"])
+    @pytest.mark.parametrize("site", list(COUNTS))
+    def test_refuses_bool_and_non_integers(self, site, value):
+        call, error = COUNTS[site]
+        with pytest.raises(error, match="must be (.auto. or )?an integer"):
+            call(value)
+
+    @pytest.mark.parametrize("site", list(COUNTS))
+    def test_accepts_numpy_integers(self, site):
+        call, _ = COUNTS[site]
+        call(np.int64(2))
+
+    def test_numpy_worker_count_runs(self):
+        args = (NAKA, RICE, 4, None, HardwareProfile(), 2.0, 1.0)
+        est = simulate_op(*args, MCConfig(samples=20_000, seed=3, workers=np.int64(2)))
+        assert est == simulate_op(*args, MCConfig(samples=20_000, seed=3, workers=2))
 
 
 class TestErrorTaxonomy:
